@@ -52,9 +52,9 @@ def survey_one(path: Path, config: SurveyConfig) -> None:
         for name, weight in zip(sig.names, sig.weights))
     print(f"== {path.name}: Q[{variables}] / "
           f"({', '.join(map(str, algebra.defining.gens)) or '0'})")
-    dim = algebra.dimension
-    print(f"   dimension {dim}")
     with step_budget(config.max_steps):
+        dim = algebra.dimension
+        print(f"   dimension {dim}")
         for k in range(dim + 2):
             print(f"   trace of wedge^{k}: {ideal_text(algebra, diff_trace(algebra, k))}")
         print(f"   nearly regular: {is_nearly_regular(algebra)}")

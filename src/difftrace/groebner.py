@@ -456,5 +456,5 @@ def minimalize_homogeneous(gens: Sequence[Polynomial], sig: RingSignature,
         if normal_form_raw(g, basis, order).is_zero:
             continue
         kept.append(g)
-        basis = buchberger(list(modulo) + kept, order)
+        basis = buchberger(basis + (g,), order)
     return tuple(kept)

@@ -1,10 +1,12 @@
 """Finitely presented modules: syzygies, exterior powers, trace and Fitting ideals.
 
 A ModulePresentation is a cokernel presentation over a GradedAlgebra: a free
-target of fixed rank and a list of relation columns.  Kernels of matrices over
-the quotient are computed in the ambient polynomial ring by tagging the
-columns of a block matrix [B | f_1*Id | ... | f_s*Id] and reading syzygies off
-a module Groebner basis under a position-over-term order.
+target of fixed rank and a list of relation columns.  The kernel of a p x q
+matrix B over the quotient R = Q[x]/I is computed in the ambient polynomial
+ring as Singular's `modulo` does: the module generated by the columns
+(B e_j, e_j) and the vectors (f e_r, 0), for f in I and r < p, meets the last
+q coordinates in exactly the v with Bv in I*R^p, and a module Groebner basis
+under a position-over-term order eliminates the first p coordinates.
 """
 
 from __future__ import annotations
@@ -166,11 +168,15 @@ def module_groebner(gens: Sequence[Vector], order: Order,
     basis: list[Vector] = []
     leads: list[tuple[int, Exponents]] = []
     by_position: dict[int, list[tuple[Exponents, Vector]]] = {}
+    # basis indices by lead position, increasing: pairs across two positions
+    # have no S-vector, so pairs and the chain test stay inside one list
+    members: dict[int, list[int]] = {}
 
     def install(v: Vector):
         v = _vector_monic(v, order)
-        basis.append(v)
         pos, mono = v.lead(order)
+        members.setdefault(pos, []).append(len(basis))
+        basis.append(v)
         leads.append((pos, mono))
         by_position.setdefault(pos, []).append((mono, v))
 
@@ -185,15 +191,12 @@ def module_groebner(gens: Sequence[Vector], order: Order,
     counter = itertools.count()
 
     def push_pair(i: int, j: int):
-        pi, mi = leads[i]
-        pj, mj = leads[j]
-        if pi != pj:
-            return
-        lcm = mono_lcm(mi, mj)
+        lcm = mono_lcm(leads[i][1], leads[j][1])
         heapq.heappush(heap, (order.key(lcm), next(counter), i, j, lcm))
         pending.add((i, j))
 
-    for i, j in itertools.combinations(range(len(basis)), 2):
+    for i, j in sorted(pair for group in members.values()
+                       for pair in itertools.combinations(group, 2)):
         push_pair(i, j)
 
     while heap:
@@ -202,10 +205,8 @@ def module_groebner(gens: Sequence[Vector], order: Order,
         budget.tick()
         pos = leads[i][0]
         skip = False
-        for k in range(len(basis)):
-            if k in (i, j) or leads[k][0] != pos:
-                continue
-            if not mono_divides(leads[k][1], lcm):
+        for k in members[pos]:
+            if k in (i, j) or not mono_divides(leads[k][1], lcm):
                 continue
             pik = (min(i, k), max(i, k))
             pjk = (min(j, k), max(j, k))
@@ -221,40 +222,38 @@ def module_groebner(gens: Sequence[Vector], order: Order,
         remainder = _vector_reduce(s, by_position, order, budget)
         if not remainder.is_zero:
             install(remainder)
-            new = len(basis) - 1
-            for t in range(new):
-                push_pair(t, new)
+            group = members[remainder.lead(order)[0]]
+            for t in group[:-1]:
+                push_pair(t, group[-1])
     return _reduce_module_basis(basis, order, budget)
 
 
 def _reduce_module_basis(basis: list[Vector], order: Order,
                          budget: StepBudget) -> list[Vector]:
     """The unique reduced basis: minimal leads, tails fully inter-reduced."""
-    kept: list[Vector] = []
-    for i, v in enumerate(basis):
+    groups: dict[int, list[tuple[int, Exponents]]] = {}
+    for j, w in enumerate(basis):
+        pos, mono = w.lead(order)
+        groups.setdefault(pos, []).append((j, mono))
+
+    def dominated(i: int, v: Vector) -> bool:
         pos, mono = v.lead(order)
-        dominated = False
-        for j, w in enumerate(basis):
-            if i == j:
-                continue
-            pj, mj = w.lead(order)
-            if pj != pos or not mono_divides(mj, mono):
-                continue
-            if mj != mono or j < i:
-                dominated = True
-                break
-        if not dominated:
-            kept.append(v)
+        return any(j != i and mono_divides(mj, mono) and (mj != mono or j < i)
+                   for j, mj in groups[pos])
+
+    kept = [v for i, v in enumerate(basis) if not dominated(i, v)]
     # tails in increasing lead order: every reducer a tail can see is final,
-    # so one sweep reaches the fixpoint
+    # so one sweep reaches the fixpoint, and the reducers grow as it goes
     def ascending(v: Vector):
         pos, mono = v.lead(order)
         return (-pos, order.key(mono))
 
     kept.sort(key=ascending)
+    reducers: dict[int, list[tuple[Exponents, Vector]]] = {}
     for i, v in enumerate(kept):
-        kept[i] = _vector_monic(
-            vector_normal_form(v, kept[:i], order, budget), order)
+        kept[i] = v = _vector_monic(_vector_reduce(v, reducers, order, budget), order)
+        pos, mono = v.lead(order)
+        reducers.setdefault(pos, []).append((mono, v))
     kept.sort(key=lambda v: (v.lead(order)[0], order.key(v.lead(order)[1])))
     return kept
 
@@ -286,8 +285,9 @@ def syzygies(rows: Sequence[Sequence[Polynomial]], algebra: GradedAlgebra,
 
     The matrix is given by rows (p of them, each of length q); the result is a
     list of length-q columns v with rows * v = 0 modulo the defining ideal.
-    Projection of a tagged module basis: syzygies of
-    [B | f_1*Id_p | ... | f_s*Id_p] restricted to the first q coordinates.
+    The kernel is read off the basis elements that vanish in the first p
+    coordinates of the module generated by (B e_j, e_j) and (f e_r, 0), for
+    f in the defining Groebner basis and r < p.
     """
     sig = algebra.sig
     order = default_order(sig)
@@ -305,27 +305,12 @@ def syzygies(rows: Sequence[Sequence[Polynomial]], algebra: GradedAlgebra,
         return [_unit_column(sig, q, j) for j in range(q)]
 
     defining = algebra.defining.groebner_basis
-    columns: list[dict[int, Polynomial]] = []
-    for j in range(q):
-        col = {}
-        for i in range(p):
-            entry = normal_form_raw(rows[i][j], defining, order)
-            if not entry.is_zero:
-                col[i] = entry
-        columns.append(col)
-
-    tags = q + len(defining) * p
     gens = []
-    for j, col in enumerate(columns):
-        comps = dict(col)
+    for j in range(q):
+        comps = {i: normal_form_raw(rows[i][j], defining, order) for i in range(p)}
         comps[p + j] = Polynomial.one(sig)
         gens.append(Vector(sig, comps))
-    slot = q
-    for f in defining:
-        for r in range(p):
-            gens.append(Vector(sig, {r: f, p + slot: Polynomial.one(sig)}))
-            slot += 1
-    assert slot == tags
+    gens += [Vector(sig, {r: f}) for f in defining for r in range(p)]
 
     basis = module_groebner(gens, order)
     seen: list[Column] = []

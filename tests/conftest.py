@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -24,6 +25,9 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
 settings.load_profile("suite")
+
+# the sample ring files shipped in rings/
+RING_FILES = sorted((Path(__file__).resolve().parent.parent / "rings").glob("*.ring"))
 
 
 def make_ring(names, weights, gens, reduced=True, equidim=True) -> GradedAlgebra:

@@ -3,8 +3,10 @@
 Membership of a homogeneous polynomial in a homogeneous ideal is decided
 degree by degree: the degree-d slice of (g_1, ..., g_s) is spanned by the
 products m * g_i with deg(m * g_i) = d, so plain Gaussian elimination over
-Fraction settles the question exactly.  Nothing here touches the Groebner
-engine, which is the point.
+Fraction settles the question exactly.  The same slices give each graded
+piece R_d of a quotient R = Q[x]/I as a Q-vector space, and so the graded
+pieces of a kernel over R as the solutions of a finite linear system.
+Nothing here touches the Groebner engine, which is the point.
 """
 
 from __future__ import annotations
@@ -115,3 +117,127 @@ def oracle_radical_membership(p: Polynomial, gens, sig: RingSignature,
         if oracle_membership(q, gens, sig):
             return True
     return False
+
+
+# -- kernels over a quotient, one degree at a time ------------------------------
+
+def _normal_form(pivots: dict[Exps, Row], vec: Row) -> Row:
+    """Full reduction: no key of the result leads a pivot row."""
+    vec = dict(vec)
+    out: Row = {}
+    while vec:
+        lead = max(vec)
+        c = vec.pop(lead)
+        row = pivots.get(lead)
+        if row is None:
+            out[lead] = c
+            continue
+        for e, a in row.items():
+            if e == lead:
+                continue
+            nv = vec.get(e, Fraction(0)) - c * a
+            if nv:
+                vec[e] = nv
+            else:
+                vec.pop(e, None)
+    return out
+
+
+def _rank(rows) -> int:
+    pivots: dict = {}
+    for row in rows:
+        _insert(pivots, row)
+    return len(pivots)
+
+
+class QuotientSlices:
+    """The graded pieces R_d of R = Q[x]/(gens), with standard monomials as
+    bases: the monomials of degree d that lead no pivot row of I_d."""
+
+    def __init__(self, gens, sig: RingSignature):
+        self.gens = list(gens)
+        self.sig = sig
+        self._pivots: dict[int, dict[Exps, Row]] = {}
+
+    def pivots(self, degree: int) -> dict[Exps, Row]:
+        if degree not in self._pivots:
+            self._pivots[degree] = _degree_slice_pivots(self.gens, self.sig, degree)
+        return self._pivots[degree]
+
+    def basis(self, degree: int) -> list[Exps]:
+        pivots = self.pivots(degree)
+        return [m for m in monomials_of_weighted_degree(self.sig, degree)
+                if m not in pivots]
+
+    def reduce(self, p: Polynomial) -> Row:
+        """Coordinates of p in R on the standard monomials of every degree."""
+        by_degree: dict[int, Row] = {}
+        for exps, coef in p.terms.items():
+            by_degree.setdefault(self.sig.degree_of(exps), {})[exps] = coef
+        out: Row = {}
+        for degree, component in by_degree.items():
+            out.update(_normal_form(self.pivots(degree), component))
+        return out
+
+
+def column_degree(column, shifts) -> int:
+    """The degree delta of a homogeneous column: entry t has degree
+    delta + shifts[t].  Raises if the entries disagree."""
+    degrees = set()
+    for entry, shift in zip(column, shifts):
+        if entry.is_zero:
+            continue
+        d = entry.homogeneous_degree()
+        if d is None:
+            raise ValueError(f"column entry {entry} is not homogeneous")
+        degrees.add(d - shift)
+    if len(degrees) != 1:
+        raise ValueError(f"column of degrees {sorted(degrees)} is not homogeneous")
+    return degrees.pop()
+
+
+def oracle_kernel_dimension(relations, shifts, quotient: QuotientSlices,
+                            delta: int) -> int:
+    """dim over Q of the degree-delta part of {v in R^m : sum_t c[t] v_t = 0
+    in R for every relation column c}, where v_t lies in R_(delta + shifts[t])."""
+    unknowns = [(t, m) for t, shift in enumerate(shifts)
+                for m in quotient.basis(delta + shift)]
+    images = []
+    for t, m in unknowns:
+        image: dict = {}
+        for index, relation in enumerate(relations):
+            if relation[t].is_zero:
+                continue
+            reduced = quotient.reduce(relation[t].mul_monomial(m))
+            image.update(((index, e), c) for e, c in reduced.items())
+        images.append(image)
+    return len(unknowns) - _rank(images)
+
+
+def oracle_span_dimension(generators, shifts, quotient: QuotientSlices,
+                          delta: int) -> int:
+    """dim over Q of the degree-delta part of the R-span of homogeneous
+    columns: the span of m * g over generators g and monomials m of
+    degree delta - deg(g), read in R."""
+    rows = []
+    for g in generators:
+        for m in monomials_of_weighted_degree(quotient.sig,
+                                             delta - column_degree(g, shifts)):
+            row: dict = {}
+            for t, entry in enumerate(g):
+                if not entry.is_zero:
+                    reduced = quotient.reduce(entry.mul_monomial(m))
+                    row.update(((t, e), c) for e, c in reduced.items())
+            rows.append(row)
+    return _rank(rows)
+
+
+def oracle_in_kernel(column, relations, gens, sig: RingSignature) -> bool:
+    """Whether every relation pairs with the column to an element of (gens)."""
+    for relation in relations:
+        acc = Polynomial.zero(sig)
+        for a, v in zip(relation, column):
+            acc = acc + a * v
+        if not oracle_membership(acc, gens, sig):
+            return False
+    return True

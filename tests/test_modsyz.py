@@ -5,7 +5,13 @@ from math import comb
 
 import pytest
 
-from conftest import make_ring
+from conftest import RING_FILES, make_ring
+from oracles import (
+    QuotientSlices,
+    oracle_in_kernel,
+    oracle_kernel_dimension,
+    oracle_span_dimension,
+)
 from difftrace.groebner import ideal_equals, ideal_sum, normal_form
 from difftrace.modsyz import (
     ModulePresentation,
@@ -22,7 +28,13 @@ from difftrace.modsyz import (
 )
 from difftrace.groebner import default_order
 from difftrace.poly import Polynomial, RingSignature, parse_many, parse_polynomial
+from difftrace.ringfile import load_ring
 from difftrace.traces import kaehler_presentation
+
+# the oracle solves the kernel in degrees up to this (a map of degree delta
+# sends e_T, of degree sum(w_i for i in T), to an element of degree
+# delta + deg e_T)
+KERNEL_ORACLE_MAX_DELTA = 4
 
 XY = RingSignature.standard("x", "y")
 
@@ -121,6 +133,31 @@ class TestKernelCompleteness:
                 v = [acc + c * entry for acc, entry in zip(v, col)]
             assert column_in_kernel(tuple(v), P)
             assert kernel_membership(tuple(v), K, conic)
+
+
+def _ring_powers():
+    for path in RING_FILES:
+        for k in range(1, load_ring(str(path)).algebra.dimension + 1):
+            yield pytest.param(path, k, id=f"{path.stem}-{k}")
+
+
+class TestKernelCompletenessOracle:
+    @pytest.mark.parametrize("path, k", _ring_powers())
+    def test_span_equals_linear_algebra_kernel(self, path, k):
+        """Degree by degree, the R-span of kernel_columns of the k-th wedge
+        of the differentials has the dimension of the kernel solved as a
+        linear system over Q, and every column lies in that kernel."""
+        algebra = load_ring(str(path)).algebra
+        sig, gens = algebra.sig, algebra.defining.gens
+        P = exterior_power_presentation(kaehler_presentation(algebra), k)
+        K = kernel_columns(P)
+        assert all(oracle_in_kernel(g, P.columns, gens, sig) for g in K)
+        shifts = [sum(sig.weights[i] for i in T)
+                  for T in itertools.combinations(range(algebra.nvars), k)]
+        quotient = QuotientSlices(gens, sig)
+        for delta in range(-max(shifts), KERNEL_ORACLE_MAX_DELTA + 1):
+            expected = oracle_kernel_dimension(P.columns, shifts, quotient, delta)
+            assert oracle_span_dimension(K, shifts, quotient, delta) == expected, delta
 
 
 class TestKernelSoundness:

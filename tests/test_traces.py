@@ -1,14 +1,17 @@
 import pytest
 
-from conftest import make_ring, presented
+from conftest import RING_FILES, make_ring, presented
 from difftrace.groebner import (
+    BudgetExceededError,
     ideal_contains,
     ideal_equals,
     ideal_membership,
     krull_dimension,
     normal_form,
+    step_budget,
 )
 from difftrace.poly import Polynomial, parse_polynomial
+from difftrace.ringfile import load_ring
 from difftrace.rings import AssumptionError
 from difftrace.traces import (
     derivation_slice_witness,
@@ -288,3 +291,23 @@ class TestTraceReporting:
         S = corpus["conic"].algebra
         for g in S.presented_generators(diff_trace(S, 2)):
             assert normal_form(g, S.defining) == g
+
+
+class TestBudgetAbortLeavesNoPoisonedCache:
+    @pytest.mark.parametrize("limit", [1, 5, 50, 500])
+    @pytest.mark.parametrize("path", RING_FILES, ids=lambda p: p.stem)
+    def test_retry_after_abort_matches_fresh_algebra(self, path, limit):
+        """A top trace cut off by the step budget (or finished within it),
+        then asked again without a limit, gives the presented generators
+        of a fresh algebra."""
+        algebra = load_ring(str(path)).algebra
+        try:
+            with step_budget(limit):
+                diff_trace(algebra, algebra.dimension)
+        except BudgetExceededError:
+            pass
+        fresh = load_ring(str(path)).algebra
+        top = fresh.dimension
+        assert presented(algebra, diff_trace(algebra, top)) == \
+            presented(fresh, diff_trace(fresh, top))
+
