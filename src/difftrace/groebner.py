@@ -171,7 +171,15 @@ def buchberger(gens: Iterable[Polynomial], order: Order,
     """
     if budget is None:
         budget = current_budget()
-    basis = [monic(g, order) for g in gens if not g.is_zero]
+    return _buchberger([monic(g, order) for g in gens if not g.is_zero], 0,
+                       order, budget)
+
+
+def _buchberger(basis: list[Polynomial], first_new: int, order: Order,
+                budget: StepBudget) -> tuple[Polynomial, ...]:
+    """Buchberger on monic basis whose first `first_new` elements already
+    form a reduced Groebner basis: only pairs (i, j) with j >= first_new
+    are made, in the order a fresh call makes them."""
     if not basis:
         return ()
 
@@ -186,7 +194,8 @@ def buchberger(gens: Iterable[Polynomial], order: Order,
         pending.add((i, j))
 
     for i, j in itertools.combinations(range(len(basis)), 2):
-        push_pair(i, j)
+        if j >= first_new:
+            push_pair(i, j)
 
     while heap:
         _, _, i, j, lcm = heapq.heappop(heap)
@@ -456,5 +465,6 @@ def minimalize_homogeneous(gens: Sequence[Polynomial], sig: RingSignature,
         if normal_form_raw(g, basis, order).is_zero:
             continue
         kept.append(g)
-        basis = buchberger(basis + (g,), order)
+        basis = _buchberger(list(basis) + [monic(g, order)], len(basis),
+                            order, current_budget())
     return tuple(kept)

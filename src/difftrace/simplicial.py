@@ -158,38 +158,47 @@ def parse_facets(text: str) -> SimplicialComplex:
 def iso_classes(max_vertices: int) -> list[SimplicialComplex]:
     """One complex per isomorphism class on at most max_vertices vertices.
 
-    Facet families are enumerated as antichains of nonempty vertex subsets
-    covering every vertex, then deduplicated by the minimal facet list over
-    all vertex permutations.  Factorial in the vertex count; intended for
-    small censuses.
+    Facet families are enumerated depth first as antichains of nonempty
+    vertex subsets covering every vertex; the first family found in each
+    class is kept.  A family's key has bit i set for each subset index i it
+    holds, and keeping a family marks the keys of all n! of its vertex
+    permutations as seen.  The cost is the search, which visits every
+    antichain (about 7,600 on 5 vertices, 7.8 million on 6), plus n! images
+    per class (180 times 120 on 5, 16,143 times 720 on 6); the seen set
+    ends up holding every covering antichain.  Intended for small censuses.
     """
     if not 1 <= max_vertices <= 7:
         raise ValueError("census enumeration supports 1 to 7 vertices")
     out: list[SimplicialComplex] = []
     for n in range(1, max_vertices + 1):
-        verts = tuple(range(1, n + 1))
-        subsets = [frozenset(c) for k in range(1, n + 1)
-                   for c in itertools.combinations(verts, k)]
-        perms = [dict(zip(verts, p)) for p in itertools.permutations(verts)]
-        seen: set[tuple] = set()
-        stack: list[tuple[int, tuple[frozenset[int], ...]]] = [(0, ())]
+        # subsets as vertex bitmasks (vertex v is bit v - 1), by size and
+        # then lexicographically
+        subsets = [sum(1 << (v - 1) for v in c) for k in range(1, n + 1)
+                   for c in itertools.combinations(range(1, n + 1), k)]
+        index = {s: i for i, s in enumerate(subsets)}
+        comparable = [sum(1 << j for j, t in enumerate(subsets) if s & t in (s, t))
+                      for s in subsets]
+        images = [[1 << index[sum(1 << p[b] for b in range(n) if s >> b & 1)]
+                   for s in subsets]
+                  for p in itertools.permutations(range(n))]
+        everything = (1 << n) - 1
+        seen: set[int] = set()
+        stack: list[tuple[int, tuple[int, ...], int, int]] = [(0, (), 0, 0)]
         while stack:
-            start, chosen = stack.pop()
+            start, chosen, key, cover = stack.pop()
             for j in range(start, len(subsets)):
-                s = subsets[j]
-                if any(s <= c or c <= s for c in chosen):
+                if key & comparable[j]:
                     continue
-                family = chosen + (s,)
-                stack.append((j + 1, family))
-                if frozenset().union(*family) != frozenset(verts):
+                family = chosen + (j,)
+                family_key = key | 1 << j
+                family_cover = cover | subsets[j]
+                stack.append((j + 1, family, family_key, family_cover))
+                if family_cover != everything or family_key in seen:
                     continue
-                canon = min(
-                    tuple(sorted(tuple(sorted(pm[v] for v in f)) for f in family))
-                    for pm in perms)
-                if canon not in seen:
-                    seen.add(canon)
-                    out.append(SimplicialComplex.from_facets(
-                        [sorted(f) for f in family]))
+                seen.update(sum(image[i] for i in family) for image in images)
+                out.append(SimplicialComplex.from_facets(
+                    [[b + 1 for b in range(n) if subsets[i] >> b & 1]
+                     for i in family]))
     return out
 
 

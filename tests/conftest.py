@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from difftrace import (
     tensor_product,
     veronese_algebra,
 )
+from difftrace.ringfile import load_ring
 
 settings.register_profile(
     "suite",
@@ -28,6 +30,20 @@ settings.load_profile("suite")
 
 # the sample ring files shipped in rings/
 RING_FILES = sorted((Path(__file__).resolve().parent.parent / "rings").glob("*.ring"))
+
+
+def ring_powers():
+    """(ring file, k) for every sample ring file and k = 1..dim."""
+    for path in RING_FILES:
+        for k in range(1, load_ring(str(path)).algebra.dimension + 1):
+            yield pytest.param(path, k, id=f"{path.stem}-{k}")
+
+
+def wedge_shifts(sig: RingSignature, k: int) -> list[int]:
+    """The degrees of the basis elements e_T of the k-th wedge of the
+    differentials: e_T has degree sum(w_i for i in T)."""
+    return [sum(sig.weights[i] for i in T)
+            for T in itertools.combinations(range(sig.nvars), k)]
 
 
 def make_ring(names, weights, gens, reduced=True, equidim=True) -> GradedAlgebra:

@@ -5,15 +5,20 @@ degree by degree: the degree-d slice of (g_1, ..., g_s) is spanned by the
 products m * g_i with deg(m * g_i) = d, so plain Gaussian elimination over
 Fraction settles the question exactly.  The same slices give each graded
 piece R_d of a quotient R = Q[x]/I as a Q-vector space, and so the graded
-pieces of a kernel over R as the solutions of a finite linear system.
-Nothing here touches the Groebner engine, which is the point.
+pieces of a kernel over R as the solutions of a finite linear system, and
+the entries of those solutions as the graded pieces of a trace ideal.
+Nothing here touches the Groebner engine, which is the point.  The census
+of simplicial complexes has a reference here too: the canonical facet list
+under all vertex permutations, computed for every family.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from difftrace.poly import Polynomial, RingSignature
+from difftrace.simplicial import SimplicialComplex
 
 Exps = tuple[int, ...]
 Row = dict[Exps, Fraction]
@@ -196,10 +201,10 @@ def column_degree(column, shifts) -> int:
     return degrees.pop()
 
 
-def oracle_kernel_dimension(relations, shifts, quotient: QuotientSlices,
-                            delta: int) -> int:
-    """dim over Q of the degree-delta part of {v in R^m : sum_t c[t] v_t = 0
-    in R for every relation column c}, where v_t lies in R_(delta + shifts[t])."""
+def _kernel_images(relations, shifts, quotient: QuotientSlices, delta: int):
+    """The unknowns (t, m) of the degree-delta kernel, with m a standard
+    monomial of degree delta + shifts[t], and the image of each under the
+    relations, keyed by (relation index, standard monomial)."""
     unknowns = [(t, m) for t, shift in enumerate(shifts)
                 for m in quotient.basis(delta + shift)]
     images = []
@@ -211,7 +216,49 @@ def oracle_kernel_dimension(relations, shifts, quotient: QuotientSlices,
             reduced = quotient.reduce(relation[t].mul_monomial(m))
             image.update(((index, e), c) for e, c in reduced.items())
         images.append(image)
+    return unknowns, images
+
+
+def oracle_kernel_dimension(relations, shifts, quotient: QuotientSlices,
+                            delta: int) -> int:
+    """dim over Q of the degree-delta part of {v in R^m : sum_t c[t] v_t = 0
+    in R for every relation column c}, where v_t lies in R_(delta + shifts[t])."""
+    unknowns, images = _kernel_images(relations, shifts, quotient, delta)
     return len(unknowns) - _rank(images)
+
+
+def oracle_kernel_basis(relations, shifts, quotient: QuotientSlices,
+                        delta: int) -> list[dict[tuple[int, Exps], Fraction]]:
+    """A Q-basis of the degree-delta kernel of oracle_kernel_dimension, each
+    vector keyed by (t, standard monomial of R_(delta + shifts[t])).
+
+    Each unknown's image row is extended by a tag for the unknown; tags sort
+    below image keys, so the rows whose image part eliminates to zero end as
+    pivots led by a tag, and their tag parts span the kernel.
+    """
+    unknowns, images = _kernel_images(relations, shifts, quotient, delta)
+    pivots: dict = {}
+    for i, image in enumerate(images):
+        row = {(1,) + key: c for key, c in image.items()}
+        row[(0, i)] = Fraction(1)
+        _insert(pivots, row)
+    return [{unknowns[key[1]]: c for key, c in row.items()}
+            for lead, row in pivots.items() if lead[0] == 0]
+
+
+def oracle_trace_dimension(relations, shifts, quotient: QuotientSlices,
+                           degree: int) -> int:
+    """dim over Q of the degree-`degree` part of the trace ideal in R: the
+    span of entry t of the kernel vectors of degree degree - shifts[t]."""
+    rows = []
+    for delta in sorted({degree - shift for shift in shifts}):
+        for vector in oracle_kernel_basis(relations, shifts, quotient, delta):
+            for t, shift in enumerate(shifts):
+                if delta + shift == degree:
+                    entry = {m: c for (u, m), c in vector.items() if u == t}
+                    if entry:
+                        rows.append(entry)
+    return _rank(rows)
 
 
 def oracle_span_dimension(generators, shifts, quotient: QuotientSlices,
@@ -241,3 +288,41 @@ def oracle_in_kernel(column, relations, gens, sig: RingSignature) -> bool:
         if not oracle_membership(acc, gens, sig):
             return False
     return True
+
+
+# -- isomorphism classes of simplicial complexes --------------------------------
+
+def canonical_facets(facets, vertices) -> tuple:
+    """The smallest sorted facet list over all permutations of the vertices."""
+    verts = tuple(vertices)
+    return min(
+        tuple(sorted(tuple(sorted(pm[v] for v in f)) for f in facets))
+        for pm in (dict(zip(verts, p)) for p in itertools.permutations(verts)))
+
+
+def oracle_iso_classes(max_vertices: int) -> list[SimplicialComplex]:
+    """The reference census: covering antichains of nonempty subsets of
+    1..n in depth-first order, the first of each canonical_facets form kept."""
+    out: list[SimplicialComplex] = []
+    for n in range(1, max_vertices + 1):
+        verts = tuple(range(1, n + 1))
+        subsets = [frozenset(c) for k in range(1, n + 1)
+                   for c in itertools.combinations(verts, k)]
+        seen: set[tuple] = set()
+        stack: list[tuple[int, tuple[frozenset[int], ...]]] = [(0, ())]
+        while stack:
+            start, chosen = stack.pop()
+            for j in range(start, len(subsets)):
+                s = subsets[j]
+                if any(s <= c or c <= s for c in chosen):
+                    continue
+                family = chosen + (s,)
+                stack.append((j + 1, family))
+                if frozenset().union(*family) != frozenset(verts):
+                    continue
+                canon = canonical_facets(family, verts)
+                if canon not in seen:
+                    seen.add(canon)
+                    out.append(SimplicialComplex.from_facets(
+                        [sorted(f) for f in family]))
+    return out

@@ -9,7 +9,9 @@ from difftrace.groebner import (
     BlockOrder,
     BudgetExceededError,
     IdealHandle,
+    StepBudget,
     WeightedGrevlex,
+    _buchberger,
     buchberger,
     default_order,
     eliminate,
@@ -261,6 +263,22 @@ class TestKrullDimension:
         for small, big in zip(chain, chain[1:]):
             assert ideal_contains(big, small)
         assert dims == sorted(dims, reverse=True)
+
+
+class TestExtendReducedBasis:
+    @given(
+        st.lists(homogeneous_polynomials(sig=XYZ, max_degree=3, max_terms=3),
+                 min_size=1, max_size=3),
+        homogeneous_polynomials(sig=XYZ, max_degree=3, max_terms=3),
+    )
+    def test_extension_equals_fresh_basis(self, gens, g):
+        """Pairing only the new generator against a reduced basis gives the
+        reduced basis of all the generators."""
+        order = default_order(XYZ)
+        basis = buchberger(gens, order)
+        extended = _buchberger(list(basis) + [monic(g, order)], len(basis),
+                               order, StepBudget())
+        assert extended == buchberger(gens + [g], order)
 
 
 class TestMinimalize:

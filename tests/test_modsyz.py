@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from conftest import RING_FILES, make_ring
+from conftest import make_ring, ring_powers, wedge_shifts
 from oracles import (
     QuotientSlices,
     oracle_in_kernel,
@@ -135,14 +135,8 @@ class TestKernelCompleteness:
             assert kernel_membership(tuple(v), K, conic)
 
 
-def _ring_powers():
-    for path in RING_FILES:
-        for k in range(1, load_ring(str(path)).algebra.dimension + 1):
-            yield pytest.param(path, k, id=f"{path.stem}-{k}")
-
-
 class TestKernelCompletenessOracle:
-    @pytest.mark.parametrize("path, k", _ring_powers())
+    @pytest.mark.parametrize("path, k", ring_powers())
     def test_span_equals_linear_algebra_kernel(self, path, k):
         """Degree by degree, the R-span of kernel_columns of the k-th wedge
         of the differentials has the dimension of the kernel solved as a
@@ -152,8 +146,7 @@ class TestKernelCompletenessOracle:
         P = exterior_power_presentation(kaehler_presentation(algebra), k)
         K = kernel_columns(P)
         assert all(oracle_in_kernel(g, P.columns, gens, sig) for g in K)
-        shifts = [sum(sig.weights[i] for i in T)
-                  for T in itertools.combinations(range(algebra.nvars), k)]
+        shifts = wedge_shifts(sig, k)
         quotient = QuotientSlices(gens, sig)
         for delta in range(-max(shifts), KERNEL_ORACLE_MAX_DELTA + 1):
             expected = oracle_kernel_dimension(P.columns, shifts, quotient, delta)

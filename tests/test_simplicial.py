@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from difftrace.constructions import fiber_product
@@ -12,6 +15,11 @@ from difftrace.simplicial import (
     stanley_reisner_algebra,
 )
 from difftrace.traces import is_nearly_regular, is_regular_via_trace
+from oracles import canonical_facets, oracle_iso_classes
+
+# the facet lists of iso_classes(5), in order, as the enumerator that
+# compared canonical forms over all vertex permutations returned them
+ISO_CLASSES = Path(__file__).resolve().parent / "data" / "iso_classes.json"
 
 
 def C(text):
@@ -201,17 +209,30 @@ class TestCensusEnumeration:
             assert frozenset().union(*c.facets) == frozenset(c.vertices)
 
     def test_classes_pairwise_nonisomorphic(self):
-        import itertools as it
         classes = [c for c in iso_classes(4) if len(c.vertices) == 4]
         assert len(classes) == 20
-        forms = set()
-        for c in classes:
-            canon = min(
-                tuple(sorted(tuple(sorted(pm[v] for v in f)) for f in c.facets))
-                for p in it.permutations(c.vertices)
-                for pm in [dict(zip(c.vertices, p))])
-            forms.add(canon)
+        forms = {canonical_facets(c.facets, c.vertices) for c in classes}
         assert len(forms) == len(classes)
+
+    def test_five_vertex_classes_pairwise_nonisomorphic(self):
+        classes = [c for c in iso_classes(5) if len(c.vertices) == 5]
+        forms = {canonical_facets(c.facets, c.vertices) for c in classes}
+        assert len(forms) == len(classes) == 180
+
+    def test_five_vertex_counts(self):
+        classes = iso_classes(5)
+        by_n = [sum(1 for c in classes if len(c.vertices) == n)
+                for n in range(1, 6)]
+        assert by_n == [1, 2, 5, 20, 180]  # OEIS A006602
+        assert sum(all(p.is_pure for p in c.components) for c in classes) == 98
+
+    def test_matches_pinned_census(self):
+        pinned = json.loads(ISO_CLASSES.read_text())
+        assert iso_classes(5) == [SimplicialComplex.from_facets(f) for f in pinned]
+
+    @pytest.mark.parametrize("max_vertices", [1, 2, 3, 4])
+    def test_matches_reference_enumerator(self, max_vertices):
+        assert iso_classes(max_vertices) == oracle_iso_classes(max_vertices)
 
     def test_rejects_large_budget(self):
         with pytest.raises(ValueError):

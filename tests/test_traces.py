@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import RING_FILES, make_ring, presented
+from conftest import RING_FILES, make_ring, presented, ring_powers, wedge_shifts
 from difftrace.groebner import (
     BudgetExceededError,
     ideal_contains,
@@ -10,6 +10,7 @@ from difftrace.groebner import (
     normal_form,
     step_budget,
 )
+from difftrace.modsyz import exterior_power_presentation
 from difftrace.poly import Polynomial, parse_polynomial
 from difftrace.ringfile import load_ring
 from difftrace.rings import AssumptionError
@@ -27,7 +28,16 @@ from difftrace.traces import (
     singular_locus_jacobian,
     singular_locus_trace,
 )
-from oracles import oracle_ideal_equal, oracle_membership
+from oracles import (
+    QuotientSlices,
+    oracle_ideal_equal,
+    oracle_membership,
+    oracle_span_dimension,
+    oracle_trace_dimension,
+)
+
+# the trace oracle compares the trace ideals in degrees up to this
+TRACE_ORACLE_MAX_DEGREE = 3
 
 
 class TestCorpusShape:
@@ -311,3 +321,18 @@ class TestBudgetAbortLeavesNoPoisonedCache:
         assert presented(algebra, diff_trace(algebra, top)) == \
             presented(fresh, diff_trace(fresh, top))
 
+
+class TestTraceIdealOracle:
+    @pytest.mark.parametrize("path, k", ring_powers())
+    def test_degree_slices_match_linear_algebra(self, path, k):
+        """Degree by degree, diff_trace read in R has the dimension of the
+        span of the kernel entries solved as a linear system over Q."""
+        algebra = load_ring(str(path)).algebra
+        sig, gens = algebra.sig, algebra.defining.gens
+        P = exterior_power_presentation(kaehler_presentation(algebra), k)
+        shifts = wedge_shifts(sig, k)
+        quotient = QuotientSlices(gens, sig)
+        trace = [(g,) for g in diff_trace(algebra, k).gens]
+        for degree in range(TRACE_ORACLE_MAX_DEGREE + 1):
+            expected = oracle_trace_dimension(P.columns, shifts, quotient, degree)
+            assert oracle_span_dimension(trace, [0], quotient, degree) == expected, degree
