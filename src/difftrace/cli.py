@@ -4,9 +4,10 @@ Subcommands: trace, classify, singular, prank, tensor, fiber, sr, veronese.
 Global flags: --json for machine output (deterministic, sorted keys),
 --max-steps for the shared step budget, --order to pin the monomial order.
 
-Exit codes: 0 success, 2 parse error, 3 step budget exceeded, 4 assumption
-violation.  In machine mode nothing is printed on a nonzero exit except the
-error on stderr.
+Exit codes: 0 success, 1 internal error, 2 malformed input (ring file,
+polynomial or facet syntax, an argument out of range, colliding variable
+names), 3 step budget exceeded, 4 assumption violation.  In machine mode nothing is printed on a
+nonzero exit except the error on stderr.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import time
 
 from .constructions import (
     InternalCheckError,
+    NameCollisionError,
     fiber_product,
     predicted_fiber_trace,
     predicted_tensor_trace,
@@ -50,9 +52,14 @@ from .traces import (
 )
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_PARSE = 2
 EXIT_BUDGET = 3
 EXIT_ASSUMPTION = 4
+
+
+class UsageError(ValueError):
+    """A command-line value the command cannot take."""
 
 
 def _ideal_strings(algebra: GradedAlgebra, handle: IdealHandle) -> list[str]:
@@ -79,6 +86,8 @@ def _algebra_json(algebra: GradedAlgebra) -> dict:
 def _cmd_trace(args) -> dict:
     description = load_ring(args.ring)
     algebra = description.algebra
+    if args.power < 0:
+        raise UsageError("exterior power degree cannot be negative")
     handle = diff_trace(algebra, args.power)
     return {
         "command": "trace",
@@ -198,7 +207,10 @@ def _cmd_fiber(args) -> dict:
 
 
 def _cmd_sr(args) -> dict:
-    delta = parse_facets(args.facets)
+    try:
+        delta = parse_facets(args.facets)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     algebra = stanley_reisner_algebra(delta)
     results = {
         "vertices": list(delta.vertices),
@@ -222,6 +234,8 @@ def _cmd_sr(args) -> dict:
 
 def _cmd_veronese(args) -> dict:
     description = load_ring(args.ring)
+    if args.degree < 1:
+        raise UsageError("Veronese degree must be a positive integer")
     subring = veronese_algebra(description.algebra, args.degree)
     return {
         "command": "veronese",
@@ -402,10 +416,13 @@ def main(argv=None) -> int:
         return EXIT_BUDGET
     except InternalCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
-        return 1
-    except (RingFileError, ParseError, ValueError) as exc:
+        return EXIT_INTERNAL
+    except (RingFileError, ParseError, NameCollisionError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except ValueError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     elapsed = time.perf_counter() - started
     report["order"] = order_name
     report["maxSteps"] = max_steps

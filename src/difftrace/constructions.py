@@ -8,9 +8,9 @@ against the direct computation.
 
 from __future__ import annotations
 
-import itertools
 from typing import Sequence
 
+from .graded import monomials_of_weighted_degree
 from .groebner import (
     IdealHandle,
     ideal_equals,
@@ -26,6 +26,10 @@ class InternalCheckError(RuntimeError):
     """A theorem-backed internal consistency check failed."""
 
 
+class NameCollisionError(ValueError):
+    """The variable names of two factors collide even after renaming."""
+
+
 def _merged_signature(A: GradedAlgebra, B: GradedAlgebra):
     """Combined signature for a two-factor construction.
 
@@ -39,7 +43,7 @@ def _merged_signature(A: GradedAlgebra, B: GradedAlgebra):
 
     names = rename(A.sig.names, "1") + rename(B.sig.names, "2")
     if len(set(names)) != len(names):
-        raise ValueError(
+        raise NameCollisionError(
             "variable-name collision survives the renaming policy; "
             "rename the factor variables by hand")
     weights = A.sig.weights + B.sig.weights
@@ -174,17 +178,6 @@ def predicted_fiber_trace(A: GradedAlgebra, B: GradedAlgebra,
 
 # -- Veronese subrings ----------------------------------------------------------
 
-def _degree_monomials(n: int, degree: int) -> list[tuple[int, ...]]:
-    """Exponent tuples of total degree `degree`, in descending lex order."""
-    out = []
-    for combo in itertools.combinations_with_replacement(range(n), degree):
-        exps = [0] * n
-        for i in combo:
-            exps[i] += 1
-        out.append(tuple(exps))
-    return out
-
-
 def veronese_algebra(P: GradedAlgebra, degree: int) -> GradedAlgebra:
     """The degree-c Veronese subring of a standard graded polynomial ring.
 
@@ -198,7 +191,8 @@ def veronese_algebra(P: GradedAlgebra, degree: int) -> GradedAlgebra:
         raise AssumptionError(
             "veronese_algebra needs a standard graded polynomial ring")
     n = P.nvars
-    monomials = _degree_monomials(n, degree)
+    # descending lex: the order in which the new variables z0, z1, ... are named
+    monomials = monomials_of_weighted_degree(P.sig, degree)[::-1]
     names = []
     for k in range(len(monomials)):
         name = f"z{k}"

@@ -12,12 +12,20 @@ regularity, nearly-regularity, and the singular locus:
 - nearly-regularity asks that every trace down the tower contain the
   irrelevant maximal ideal, which the descending chain reduces to a single
   membership test at the top.
+
+The trace chain itself comes from module Groebner bases (`diff_trace`).  The
+yes/no questions need only one graded piece of one trace each: the degrees
+of the variables for nearly-regularity, degree 0 for regularity and
+polynomial rank.  Unless the trace is already cached on the algebra, they
+are decided on that piece by linear algebra over Q (`graded`).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
+from .graded import trace_contains
 from .groebner import IdealHandle, normal_form, radical_membership
 from .modsyz import (
     Column,
@@ -68,6 +76,24 @@ def diff_trace(S: GradedAlgebra, power: int) -> IdealHandle:
     return cached
 
 
+def _graded_trace_contains(S: GradedAlgebra, power: int,
+                           elements: list[Polynomial]) -> bool:
+    """Whether the power-th trace holds the homogeneous elements, solved on
+    their graded pieces; e_T of the power-th wedge has degree sum w_i over T."""
+    wedge = exterior_power_presentation(kaehler_presentation(S), power)
+    shifts = [sum(S.sig.weights[i] for i in T)
+              for T in itertools.combinations(range(S.nvars), power)]
+    return trace_contains(wedge, shifts, elements)
+
+
+def _trace_is_whole_ring(S: GradedAlgebra, power: int) -> bool:
+    """Read from the cached trace if there is one, else solved in degree 0."""
+    cached = S._trace_cache.get(power)
+    if cached is not None:
+        return cached.is_trivial
+    return _graded_trace_contains(S, power, [S.one()])
+
+
 def polynomial_rank(S: GradedAlgebra) -> int:
     """Largest r such that S splits off a polynomial ring in r variables.
 
@@ -75,7 +101,7 @@ def polynomial_rank(S: GradedAlgebra) -> int:
     downward from the dimension.
     """
     for power in range(S.dimension, 0, -1):
-        if diff_trace(S, power).is_trivial:
+        if _trace_is_whole_ring(S, power):
             return power
     return 0
 
@@ -83,15 +109,21 @@ def polynomial_rank(S: GradedAlgebra) -> int:
 def is_nearly_regular(S: GradedAlgebra) -> bool:
     """Whether every trace up to the dimension contains the maximal ideal.
 
-    The traces descend as the power grows, so the top trace decides.
+    The traces descend as the power grows, so the top trace decides: read
+    from the cached top trace if there is one, else solved in the degrees of
+    the variables.
     """
-    return S.contains_maximal_ideal(diff_trace(S, S.dimension))
+    top = S.dimension
+    cached = S._trace_cache.get(top)
+    if cached is not None:
+        return S.contains_maximal_ideal(cached)
+    return _graded_trace_contains(S, top, S.variables())
 
 
 def is_regular_via_trace(S: GradedAlgebra) -> bool:
     """Whether the top trace is the whole ring; needs the reduced flag."""
     S.require_reduced("is_regular_via_trace")
-    return diff_trace(S, S.dimension).is_trivial
+    return _trace_is_whole_ring(S, S.dimension)
 
 
 def singular_locus_trace(S: GradedAlgebra) -> IdealHandle:

@@ -64,7 +64,8 @@ class CorpusEntry:
     kind: str
 
 
-def _build_corpus() -> dict[str, CorpusEntry]:
+def build_corpus() -> dict[str, CorpusEntry]:
+    """A fresh corpus: new algebras, with no trace cached on them."""
     entries: dict[str, CorpusEntry] = {}
 
     def add(name, algebra, dim, kind):
@@ -107,9 +108,16 @@ def _build_corpus() -> dict[str, CorpusEntry]:
     return entries
 
 
+def corpus_powers():
+    """(corpus entry name, k) for every corpus entry and k = 1..dim."""
+    for entry in build_corpus().values():
+        for k in range(1, entry.dim + 1):
+            yield pytest.param(entry.name, k, id=f"{entry.name}-{k}")
+
+
 @pytest.fixture(scope="session")
 def corpus() -> dict[str, CorpusEntry]:
-    return _build_corpus()
+    return build_corpus()
 
 
 @pytest.fixture(scope="session")

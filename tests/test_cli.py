@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from difftrace import traces
 from difftrace.cli import main
 
 CROSS = "vars: x, y, z\nideal: x*y, x*z\nassume: reduced\n"
@@ -216,6 +217,45 @@ class TestExitCodes:
         assert code == 4
         assert out == ""
         assert "homogeneous" in err
+
+    def test_budget_exhaustion_on_graded_path(self, capsys):
+        code, out, err = run_json(
+            ["sr", "--facets", "1 2; 2 3", "--verify-algebraic",
+             "--max-steps", "1"], capsys)
+        assert code == 3
+        assert out == ""
+        assert "budget" in err.lower()
+
+    def test_argument_errors_are_parse_errors(self, rings, tmp_path, capsys):
+        # x of the first factor is renamed to x_1, which it already has
+        clash = tmp_path / "clash.ring"
+        clash.write_text("vars: x, x_1\nassume: reduced, equidimensional\n",
+                         encoding="utf-8")
+        collision = ("error: variable-name collision survives the renaming "
+                     "policy; rename the factor variables by hand\n")
+        cases = [
+            (["trace", "--ring", rings["node"], "--power", "-1"],
+             "error: exterior power degree cannot be negative\n"),
+            (["veronese", "--ring", rings["plane_xy"], "--degree", "0"],
+             "error: Veronese degree must be a positive integer\n"),
+            (["sr", "--facets", "1;;2"], "error: empty facet in facet list\n"),
+            (["tensor", str(clash), rings["line_x"]], collision),
+            (["fiber", str(clash), rings["line_x"], "--verify-formula"], collision),
+        ]
+        for argv, message in cases:
+            code, out, err = run_json(argv, capsys)
+            assert (code, out, err) == (2, "", message), argv
+
+    def test_engine_value_error_is_internal(self, monkeypatch, capsys):
+        def fault(*args):
+            raise ValueError("fault inside the solver")
+
+        monkeypatch.setattr(traces, "trace_contains", fault)
+        code, out, err = run_json(
+            ["sr", "--facets", "1 2; 2 3", "--verify-algebraic"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "fault inside the solver" in err
 
     def test_nonpositive_max_steps_rejected(self, rings, capsys):
         with pytest.raises(SystemExit) as err:

@@ -1,6 +1,14 @@
 import pytest
 
-from conftest import RING_FILES, make_ring, presented, ring_powers, wedge_shifts
+from conftest import (
+    RING_FILES,
+    build_corpus,
+    corpus_powers,
+    make_ring,
+    presented,
+    ring_powers,
+    wedge_shifts,
+)
 from difftrace.groebner import (
     BudgetExceededError,
     ideal_contains,
@@ -14,6 +22,7 @@ from difftrace.modsyz import exterior_power_presentation
 from difftrace.poly import Polynomial, parse_polynomial
 from difftrace.ringfile import load_ring
 from difftrace.rings import AssumptionError
+from difftrace.simplicial import iso_classes, parse_facets, stanley_reisner_algebra
 from difftrace.traces import (
     derivation_slice_witness,
     diff_trace,
@@ -38,6 +47,9 @@ from oracles import (
 
 # the trace oracle compares the trace ideals in degrees up to this
 TRACE_ORACLE_MAX_DEGREE = 3
+
+# the census classes on at most 5 vertices whose components are pure
+PURE_CENSUS = [d for d in iso_classes(5) if all(p.is_pure for p in d.components)]
 
 
 class TestCorpusShape:
@@ -321,18 +333,103 @@ class TestBudgetAbortLeavesNoPoisonedCache:
         assert presented(algebra, diff_trace(algebra, top)) == \
             presented(fresh, diff_trace(fresh, top))
 
+    @pytest.mark.parametrize("limit", [1, 5, 50, 500])
+    @pytest.mark.parametrize("path", RING_FILES, ids=lambda p: p.stem)
+    def test_yes_no_retry_after_abort_matches_fresh_algebra(self, path, limit):
+        """is_nearly_regular and polynomial_rank cut off by the step budget
+        (or finished within it), then asked again without a limit, answer
+        as on a fresh algebra."""
+        algebra = load_ring(str(path)).algebra
+        for question in (is_nearly_regular, polynomial_rank):
+            try:
+                with step_budget(limit):
+                    question(algebra)
+            except BudgetExceededError:
+                pass
+        fresh = load_ring(str(path)).algebra
+        for question in (is_nearly_regular, polynomial_rank):
+            assert question(algebra) == question(fresh), question.__name__
+
+    @pytest.mark.parametrize("stem, question", [("plane", polynomial_rank),
+                                                 ("quadric", is_nearly_regular)])
+    def test_graded_solve_counts_against_the_budget(self, stem, question):
+        """With the dimension known, the graded solve ticks the budget, and a
+        budget with one step too few left aborts it."""
+        path = next(p for p in RING_FILES if p.stem == stem)
+        algebra = load_ring(str(path)).algebra
+        algebra.dimension
+        with step_budget(10 ** 9) as budget:
+            expected = question(algebra)
+        assert budget.used >= 1
+        with pytest.raises(BudgetExceededError):
+            with step_budget(budget.used) as short:
+                short.tick()
+                question(algebra)
+        assert question(algebra) == expected
+        assert not algebra._trace_cache
+
+
+def _graded_answers(S):
+    """Nearly-regular, regular (None without the reduced flag) and the
+    polynomial rank, on an algebra with no trace cached: each is solved on
+    graded pieces, and no trace is left cached."""
+    assert not S._trace_cache
+    regular = is_regular_via_trace(S) if S.asserted_reduced else None
+    answers = (is_nearly_regular(S), regular, polynomial_rank(S))
+    assert not S._trace_cache
+    return answers
+
+
+def _groebner_answers(S):
+    """The same three answers, read from diff_trace handles."""
+    top = diff_trace(S, S.dimension)
+    regular = top.is_trivial if S.asserted_reduced else None
+    rank = next((k for k in range(S.dimension, 0, -1)
+                 if diff_trace(S, k).is_trivial), 0)
+    return S.contains_maximal_ideal(top), regular, rank
+
+
+class TestGradedAnswersMatchGroebner:
+    """The yes/no questions solved on graded pieces against the answers read
+    from the whole traces, each side on its own fresh algebra so that no
+    cached trace can make them agree."""
+
+    @pytest.mark.parametrize("path", RING_FILES, ids=lambda p: p.stem)
+    def test_ring_files(self, path):
+        assert _graded_answers(load_ring(str(path)).algebra) == \
+            _groebner_answers(load_ring(str(path)).algebra)
+
+    def test_conftest_corpus(self):
+        graded, whole = build_corpus(), build_corpus()
+        for name in graded:
+            assert _graded_answers(graded[name].algebra) == \
+                _groebner_answers(whole[name].algebra), name
+
+    @pytest.mark.parametrize("index", range(len(PURE_CENSUS)))
+    def test_census(self, index):
+        delta = PURE_CENSUS[index]
+        assert _graded_answers(stanley_reisner_algebra(delta)) == \
+            _groebner_answers(stanley_reisner_algebra(delta)), delta.describe()
+
+
+def _assert_trace_slices_match_oracle(algebra, k):
+    """Degree by degree, diff_trace read in R has the dimension of the span
+    of the kernel entries solved as a linear system over Q."""
+    sig, gens = algebra.sig, algebra.defining.gens
+    P = exterior_power_presentation(kaehler_presentation(algebra), k)
+    shifts = wedge_shifts(sig, k)
+    quotient = QuotientSlices(gens, sig)
+    trace = [(g,) for g in diff_trace(algebra, k).gens]
+    for degree in range(TRACE_ORACLE_MAX_DEGREE + 1):
+        expected = oracle_trace_dimension(P.columns, shifts, quotient, degree)
+        assert oracle_span_dimension(trace, [0], quotient, degree) == expected, degree
+
 
 class TestTraceIdealOracle:
     @pytest.mark.parametrize("path, k", ring_powers())
     def test_degree_slices_match_linear_algebra(self, path, k):
-        """Degree by degree, diff_trace read in R has the dimension of the
-        span of the kernel entries solved as a linear system over Q."""
-        algebra = load_ring(str(path)).algebra
-        sig, gens = algebra.sig, algebra.defining.gens
-        P = exterior_power_presentation(kaehler_presentation(algebra), k)
-        shifts = wedge_shifts(sig, k)
-        quotient = QuotientSlices(gens, sig)
-        trace = [(g,) for g in diff_trace(algebra, k).gens]
-        for degree in range(TRACE_ORACLE_MAX_DEGREE + 1):
-            expected = oracle_trace_dimension(P.columns, shifts, quotient, degree)
-            assert oracle_span_dimension(trace, [0], quotient, degree) == expected, degree
+        _assert_trace_slices_match_oracle(load_ring(str(path)).algebra, k)
+
+    @pytest.mark.parametrize("name, k", corpus_powers())
+    def test_corpus_degree_slices_match_linear_algebra(self, corpus, name, k):
+        _assert_trace_slices_match_oracle(corpus[name].algebra, k)
