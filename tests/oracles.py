@@ -9,7 +9,10 @@ pieces of a kernel over R as the solutions of a finite linear system, and
 the entries of those solutions as the graded pieces of a trace ideal.
 Nothing here touches the Groebner engine, which is the point.  The census
 of simplicial complexes has a reference here too: the canonical facet list
-under all vertex permutations, computed for every family.
+under all vertex permutations, computed for every family.  So has division
+with remainder: the engine's reduction loop as it was on Fraction
+coefficients, which its integer loop must match remainder for remainder and
+step for step.
 """
 
 from __future__ import annotations
@@ -326,3 +329,75 @@ def oracle_iso_classes(max_vertices: int) -> list[SimplicialComplex]:
                     out.append(SimplicialComplex.from_facets(
                         [sorted(f) for f in family]))
     return out
+
+
+# -- division with remainder on Fraction coefficients -----------------------------
+
+def oracle_vector_reduce(vector: dict[int, Polynomial],
+                         basis: list[dict[int, Polynomial]],
+                         key) -> tuple[dict[int, Polynomial], int]:
+    """Full remainder of a vector of polynomials, and the number of reduction
+    steps, under division by the basis vectors in list order.
+
+    The module term order is position over term: a smaller position is
+    larger, then `key` orders the monomials.  Each step takes the largest
+    remaining term and the first basis vector, in list order, whose leading
+    term divides it; a position is finished before the next one is visited.
+    A rank-1 vector is division by polynomials.
+    """
+    buckets: dict[int, list[tuple[Exps, dict[int, Polynomial]]]] = {}
+    for g in basis:
+        comps = {i: p for i, p in g.items() if not p.is_zero}
+        if comps:
+            pos = min(comps)
+            buckets.setdefault(pos, []).append((max(comps[pos].terms, key=key), comps))
+    steps = 0
+    remainder: dict[int, Polynomial] = {}
+    carry = {i: p for i, p in vector.items() if not p.is_zero}
+    while carry:
+        pos = min(carry)
+        bucket = buckets.get(pos, ())
+        sig = carry[pos].sig
+        work = dict(carry.pop(pos).terms)
+        leftover: dict[Exps, Fraction] = {}
+        quotients: dict[int, dict[Exps, Fraction]] = {}
+        while work:
+            mono = max(work, key=key)
+            coef = work[mono]
+            hit = None
+            for idx, (lm, g) in enumerate(bucket):
+                if all(x <= y for x, y in zip(lm, mono)):
+                    hit = (idx, lm, g)
+                    break
+            if hit is None:
+                leftover[mono] = coef
+                del work[mono]
+                continue
+            steps += 1
+            idx, lm, g = hit
+            divisor = g[pos].terms
+            shift = tuple(x - y for x, y in zip(mono, lm))
+            factor = coef / divisor[lm]
+            q = quotients.setdefault(idx, {})
+            q[shift] = q.get(shift, Fraction(0)) + factor
+            for e, c in divisor.items():
+                target = tuple(x + y for x, y in zip(e, shift))
+                acc = work.get(target, Fraction(0)) - factor * c
+                if acc:
+                    work[target] = acc
+                else:
+                    work.pop(target, None)
+        if leftover:
+            remainder[pos] = Polynomial(sig, leftover)
+        for idx, q in quotients.items():
+            g = bucket[idx][1]
+            q_poly = Polynomial(sig, q)
+            for i, comp in g.items():
+                if i == pos:
+                    continue
+                acc = carry.get(i, Polynomial.zero(sig)) - comp * q_poly
+                if acc.is_zero:
+                    carry.pop(i, None)
+                else:
+                    carry[i] = acc
+    return remainder, steps

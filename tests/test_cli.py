@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -289,10 +291,14 @@ class TestFlagPlacement:
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self, rings):
+        # the child finds the package from a checkout, as pytest itself does
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "difftrace", "prank",
              "--ring", rings["node"], "--json"],
-            capture_output=True, text=True, timeout=120)
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc["results"]["polynomialRank"] == 0

@@ -4,7 +4,9 @@ Every call below runs in process with `--json`; its exit code and stdout must
 equal those stored in `tests/data/cli_bytes.json`.  The stored file was made
 before the module Groebner engine lost its syzygy tag columns and its
 all-pairs bookkeeping, so the test pins down that engine rewrites change no
-answer.  To write the file again from the code on the path (only from code
+answer.  The calls on the ring files with fractional coefficients under
+`tests/data/rings/` were stored before the reduction loops moved to integer
+coefficients.  To write the file again from the code on the path (only from code
 whose output is trusted):
 
     PYTHONPATH=src python tests/test_cli_bytes.py
@@ -30,6 +32,9 @@ from difftrace.ringfile import load_ring
 ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).resolve().parent / "data" / "cli_bytes.json"
 RINGS = [p.stem for p in RING_FILES]
+# fractional coefficients; kept out of rings/, whose files the benchmark reads
+RATIONAL_RINGS = sorted(
+    (Path(__file__).resolve().parent / "data" / "rings").glob("*.ring"))
 SR_FACETS = ("1 2; 3 4", "1 2; 2 3", "1 2 3; 4", "1 2; 2 3; 3 1")
 # fiber products in more variables took 1-30 s a call before the rewrite
 FIBER_MAX_VARS = 4
@@ -57,6 +62,13 @@ def calls() -> list[list[str]]:
         out.append(["tensor", _ring(a), _ring(b), "--verify-formula"])
         if _nvars(a) + _nvars(b) <= FIBER_MAX_VARS or (a, b) in FIBER_EXTRA:
             out.append(["fiber", _ring(a), _ring(b), "--verify-formula"])
+    for path in RATIONAL_RINGS:
+        ring = path.relative_to(ROOT).as_posix()
+        out.append(["classify", "--ring", ring])
+        out.append(["prank", "--ring", ring])
+        out += [["trace", "--ring", ring, "--power", str(k)] for k in range(4)]
+        out.append(["singular", "--ring", ring, "--cross-check"])
+        out.append(["tensor", _ring("node"), ring, "--verify-formula"])
     return out
 
 

@@ -1,0 +1,107 @@
+"""Exact reduction-step counts of a fixed list of library computations.
+
+Each computation runs on freshly loaded algebras under its own step budget;
+the budget's `used` count must equal the one stored in
+`tests/data/steps.json`.  A rewrite of the reduction loops that makes the
+same reductions leaves every count as it is; a change to pair selection,
+criteria or reducer choice shows here first.  The stored file was written
+before the reduction loops moved to integer coefficients.  To write it
+again from the code on the path (only from code whose counts are trusted):
+
+    PYTHONPATH=src python tests/test_steps.py
+"""
+
+from __future__ import annotations
+
+import functools
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from conftest import RING_FILES
+from difftrace.constructions import predicted_tensor_trace, tensor_product
+from difftrace.groebner import ideal_equals, step_budget
+from difftrace.ringfile import load_ring
+from difftrace.traces import (
+    diff_trace,
+    is_nearly_regular,
+    radical_equal,
+    singular_locus_jacobian,
+    singular_locus_trace,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
+DATA = Path(__file__).resolve().parent / "data" / "steps.json"
+ALL_RINGS = RING_FILES + sorted((ROOT / "tests" / "data" / "rings").glob("*.ring"))
+TENSOR_PAIRS = (("rings/node.ring", "rings/cusp.ring"),
+                ("rings/node.ring", "tests/data/rings/umbrella.ring"))
+
+
+def _load(path) -> object:
+    return load_ring(str(ROOT / path)).algebra
+
+
+def _trace_chain(path):
+    """Every trace of the ring with its presented generators."""
+    algebra = _load(path)
+    for power in range(algebra.dimension + 2):
+        algebra.presented_generators(diff_trace(algebra, power))
+
+
+def _cross_check(path):
+    """The radical comparison of `singular --cross-check`."""
+    algebra = _load(path)
+    radical_equal(singular_locus_trace(algebra), singular_locus_jacobian(algebra))
+
+
+def _tensor(path_a, path_b):
+    """The verification of `tensor --verify-formula`."""
+    a, b = _load(path_a), _load(path_b)
+    product = tensor_product(a, b)
+    predicted = predicted_tensor_trace(a, b, product)
+    ideal_equals(predicted, diff_trace(product, product.dimension))
+    is_nearly_regular(product)
+
+
+def computations() -> dict[str, object]:
+    out = {}
+    for path in ALL_RINGS:
+        rel = path.relative_to(ROOT).as_posix()
+        out[f"chain {rel}"] = functools.partial(_trace_chain, rel)
+        flags = load_ring(str(path)).algebra
+        if flags.asserted_reduced and flags.asserted_equidimensional:
+            out[f"cross-check {rel}"] = functools.partial(_cross_check, rel)
+    for a, b in TENSOR_PAIRS:
+        out[f"tensor {a} {b}"] = functools.partial(_tensor, a, b)
+    return out
+
+
+def steps_of(run) -> int:
+    with step_budget(10 ** 12) as budget:
+        run()
+    return budget.used
+
+
+@functools.cache
+def _stored() -> dict[str, int]:
+    return json.loads(DATA.read_text(encoding="utf-8"))
+
+
+def test_stored_names_are_the_listed_computations():
+    assert sorted(_stored()) == sorted(computations())
+
+
+@pytest.mark.parametrize("name", sorted(computations()))
+def test_step_count(name):
+    assert steps_of(computations()[name]) == _stored()[name]
+
+
+if __name__ == "__main__":
+    counts = {}
+    for name, run in computations().items():
+        counts[name] = steps_of(run)
+        print(counts[name], name, file=sys.stderr, flush=True)
+    DATA.write_text(json.dumps(counts, indent=1, sort_keys=True) + "\n",
+                    encoding="utf-8")
