@@ -13,6 +13,7 @@ from typing import Sequence
 from .graded import monomials_of_weighted_degree
 from .groebner import (
     IdealHandle,
+    _lift,
     ideal_equals,
     ideal_intersection,
     eliminate,
@@ -51,16 +52,6 @@ def _merged_signature(A: GradedAlgebra, B: GradedAlgebra):
     positions_a = list(range(A.nvars))
     positions_b = list(range(A.nvars, A.nvars + B.nvars))
     return sig, positions_a, positions_b
-
-
-def _lift(p: Polynomial, target: RingSignature, positions: Sequence[int]) -> Polynomial:
-    terms = {}
-    for exps, coef in p.terms.items():
-        out = [0] * target.nvars
-        for i, e in enumerate(exps):
-            out[positions[i]] = e
-        terms[tuple(out)] = coef
-    return Polynomial(target, terms)
 
 
 def extend_scalars(handle: IdealHandle, R: GradedAlgebra,

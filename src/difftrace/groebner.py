@@ -1,8 +1,12 @@
 """Buchberger's algorithm and ideal arithmetic over Q.
 
-All computations are exact.  Monomial orders are weighted graded reverse
-lexicographic (the default everywhere) and a two-block elimination order used
-by eliminate/intersection.  Every reduction ticks a step budget so runaway
+All computations are exact.  Polynomials in and out carry Fraction
+coefficients; division with remainder, for ideals here and for modules in
+modsyz.py, runs in one kernel (`_reduce`) on integer coefficients over one
+common denominator, and forms Fractions only for the remainder it returns.
+Monomial orders are weighted graded reverse lexicographic (the default
+everywhere) and a two-block elimination order used by
+eliminate/intersection.  Every reduction ticks a step budget so runaway
 computations surface as BudgetExceededError instead of hanging.
 """
 
@@ -15,7 +19,9 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from math import gcd, lcm
+from operator import add, le, sub
+from typing import Iterable, Mapping, Sequence
 
 from .poly import (
     Exponents,
@@ -123,35 +129,184 @@ def monic(p: Polynomial, order: Order) -> Polynomial:
     return p if lc == 1 else p.scale(1 / lc)
 
 
-# -- division and Buchberger --------------------------------------------------
+# -- division with remainder on integers ---------------------------------------
+#
+# The kernel reduces a vector {position: {monomial: int}} whose exact value is
+# that vector divided by one common denominator; a polynomial is the vector
+# at position 0.  A reducer, and a basis element of either Buchberger loop,
+# is an _Element: (lead position, lead monomial, integer vector, lead
+# coefficient).  A reduction step is the same for every nonzero multiple of
+# a reducer, so each is kept as its primitive multiple: coprime integers,
+# made once and cached on the Polynomial or Vector.
+
+_IntVector = dict[int, dict[Exponents, int]]
+_Element = tuple[int, Exponents, _IntVector, int]
+
+
+class _Keys(dict):
+    """Order keys, computed once per monomial."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, order: Order):
+        super().__init__()
+        self.key = order.key
+
+    def __missing__(self, mono: Exponents):
+        value = self[mono] = self.key(mono)
+        return value
+
+
+def _integers(comps: Mapping[int, Mapping[Exponents, Fraction]]) -> tuple[_IntVector, int]:
+    """Integer numerators of Fraction terms over their least common denominator."""
+    den = lcm(*(c.denominator for terms in comps.values() for c in terms.values()))
+    return ({i: {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+             for i, terms in comps.items() if terms}, den)
+
+
+def _primitive(vec: _IntVector) -> _IntVector:
+    """The vector divided by the gcd of its coefficients."""
+    g = gcd(*(c for comp in vec.values() for c in comp.values()))
+    if g == 1:
+        return vec
+    return {i: {e: c // g for e, c in comp.items()} for i, comp in vec.items()}
+
+
+def _fractions(comp: dict[Exponents, int], den: int) -> dict[Exponents, Fraction]:
+    return {e: Fraction(c, den) for e, c in comp.items()}
+
+
+# past this size the common denominator is checked for a factor that every
+# coefficient shares, so a long reduction does not grow the integers for nothing
+_DEN_BITS = 64
+
+
+def _divide_content(den: int, comps) -> int:
+    g = gcd(den, *(c for comp in comps for c in comp.values()))
+    if g > 1:
+        for comp in comps:
+            for e in comp:
+                comp[e] //= g
+    return den // g
+
+
+def _reduce(vec: _IntVector, den: int, buckets: dict[int, list[_Element]],
+            keys: _Keys, budget: StepBudget) -> tuple[_IntVector, int]:
+    """Full remainder of vec / den against reducers bucketed by lead position,
+    as (integer vector, denominator); vec is consumed.
+
+    The module order is position over term: a smaller position is larger.
+    Each step takes the largest remaining term and the first reducer in its
+    bucket whose leading monomial divides it.  A reducer's lead sits at its
+    smallest position, so the terms it drags in land strictly later and each
+    position is finished once.  To cancel coefficient c against a reducer
+    lead a, the vector is multiplied by a/gcd(c, a), which the denominator
+    records, so no step leaves the integers.
+    """
+    remainder: _IntVector = {}
+    by_key = keys.__getitem__
+    while vec:
+        pos = min(vec)
+        work = vec.pop(pos)
+        bucket = buckets.get(pos, ())
+        done: dict[Exponents, int] = {}
+        remainder[pos] = done
+        while work:
+            mono = max(work, key=by_key)
+            coef = work[mono]
+            for _, lm, red, lead in bucket:
+                if all(map(le, lm, mono)):
+                    break
+            else:
+                done[mono] = work.pop(mono)
+                continue
+            budget.tick()
+            # g takes the sign of lead, so a lead of -1 rescales nothing
+            g = gcd(coef, lead)
+            if lead < 0:
+                g = -g
+            scale = lead // g
+            coef //= g
+            if scale != 1:
+                den *= scale
+                for comp in (work, *vec.values(), *remainder.values()):
+                    for e in comp:
+                        comp[e] *= scale
+            shift = tuple(map(sub, mono, lm))
+            for i, terms in red.items():
+                target = work if i == pos else vec.setdefault(i, {})
+                for e, c in terms.items():
+                    t = tuple(map(add, e, shift))
+                    v = target.get(t, 0) - coef * c
+                    if v:
+                        target[t] = v
+                    else:
+                        del target[t]
+                if not target and i != pos:
+                    del vec[i]
+            if scale != 1 and den.bit_length() > _DEN_BITS:
+                den = _divide_content(den, (work, *vec.values(), *remainder.values()))
+        if not done:
+            del remainder[pos]
+    return remainder, den
+
+
+def _poly_element(g: Polynomial, order: Order) -> _Element:
+    ints = g._ints
+    if ints is None:
+        ints = g._ints = _primitive(_integers({0: g.terms})[0])[0]
+    lm = leading_monomial(g, order)
+    return 0, lm, {0: ints}, ints[lm]
+
 
 def normal_form_raw(p: Polynomial, basis: Sequence[Polynomial], order: Order,
                     budget: StepBudget | None = None) -> Polynomial:
     """Full remainder of p under multivariate division by basis.
 
-    No term of the result is divisible by any basis leading monomial.
+    No term of the result is divisible by any basis leading monomial.  Each
+    step divides the largest remaining term by the first basis element, in
+    list order, whose leading monomial divides it.
     """
+    if p.is_zero:
+        return Polynomial._of(p.sig, {})
     if budget is None:
         budget = current_budget()
-    divisors = [(leading_monomial(g, order), g) for g in basis if not g.is_zero]
-    work = p
-    remainder: dict[Exponents, Fraction] = {}
-    while not work.is_zero:
-        lead = leading_monomial(work, order)
-        coef = work.terms[lead]
-        for lm, g in divisors:
-            if mono_divides(lm, lead):
-                budget.tick()
-                shift = mono_div(lead, lm)
-                factor = coef / g.terms[lm]
-                work = work - g.mul_monomial(shift, factor)
-                break
-        else:
-            remainder[lead] = coef
-            stripped = dict(work.terms)
-            del stripped[lead]
-            work = Polynomial(p.sig, stripped)
-    return Polynomial(p.sig, remainder)
+    bucket = [_poly_element(g, order) for g in basis if not g.is_zero]
+    vec, den = _integers({0: p.terms})
+    remainder, den = _reduce(vec, den, {0: bucket}, _Keys(order), budget)
+    return Polynomial._of(p.sig, _fractions(remainder.get(0, {}), den))
+
+
+def _element(ints: _IntVector, keys: _Keys) -> _Element:
+    pos = min(ints)
+    mono = max(ints[pos], key=keys.__getitem__)
+    return pos, mono, ints, ints[pos][mono]
+
+
+def _s_vector(a: _Element, b: _Element, lcm: Exponents) -> _IntVector:
+    """A nonzero multiple of the S-vector of two elements with one lead position."""
+    g = gcd(a[3], b[3])
+    out: _IntVector = {}
+    for (_, mono, ints, _), factor in ((a, b[3] // g), (b, -(a[3] // g))):
+        shift = tuple(map(sub, lcm, mono))
+        for i, comp in ints.items():
+            acc = out.setdefault(i, {})
+            for e, c in comp.items():
+                t = tuple(map(add, e, shift))
+                v = acc.get(t, 0) + factor * c
+                if v:
+                    acc[t] = v
+                else:
+                    del acc[t]
+    return {i: comp for i, comp in out.items() if comp}
+
+
+def _monic_polynomial(sig: RingSignature, element: _Element, order: Order) -> Polynomial:
+    _, mono, ints, lead = element
+    g = Polynomial._of(sig, _fractions(ints[0], lead))
+    g._ints = ints[0]
+    g._lead_cache[order] = mono
+    return g
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: Order) -> Polynomial:
@@ -171,29 +326,29 @@ def buchberger(gens: Iterable[Polynomial], order: Order,
     """
     if budget is None:
         budget = current_budget()
-    return _buchberger([monic(g, order) for g in gens if not g.is_zero], 0,
-                       order, budget)
+    return _buchberger([g for g in gens if not g.is_zero], 0, order, budget)
 
 
 def _buchberger(basis: list[Polynomial], first_new: int, order: Order,
                 budget: StepBudget) -> tuple[Polynomial, ...]:
-    """Buchberger on monic basis whose first `first_new` elements already
-    form a reduced Groebner basis: only pairs (i, j) with j >= first_new
-    are made, in the order a fresh call makes them."""
+    """Buchberger on a basis whose first `first_new` elements already form
+    a reduced Groebner basis: only pairs (i, j) with j >= first_new are
+    made, in the order a fresh call makes them."""
     if not basis:
         return ()
-
-    lms = [leading_monomial(g, order) for g in basis]
+    keys = _Keys(order)
+    elements = [_poly_element(g, order) for g in basis]
+    lms = [e[1] for e in elements]
     pending: set[tuple[int, int]] = set()
     heap: list = []
     counter = itertools.count()
 
     def push_pair(i: int, j: int):
         lcm = mono_lcm(lms[i], lms[j])
-        heapq.heappush(heap, (order.key(lcm), next(counter), i, j, lcm))
+        heapq.heappush(heap, (keys[lcm], next(counter), i, j, lcm))
         pending.add((i, j))
 
-    for i, j in itertools.combinations(range(len(basis)), 2):
+    for i, j in itertools.combinations(range(len(elements)), 2):
         if j >= first_new:
             push_pair(i, j)
 
@@ -207,7 +362,7 @@ def _buchberger(basis: list[Polynomial], first_new: int, order: Order,
         # chain criterion: some g_k divides the lcm and both companion pairs
         # are no longer pending
         skip = False
-        for k in range(len(basis)):
+        for k in range(len(elements)):
             if k in (i, j) or not mono_divides(lms[k], lcm):
                 continue
             pik = (min(i, k), max(i, k))
@@ -217,24 +372,24 @@ def _buchberger(basis: list[Polynomial], first_new: int, order: Order,
                 break
         if skip:
             continue
-        remainder = normal_form_raw(s_polynomial(basis[i], basis[j], order),
-                                    basis, order, budget)
-        if remainder.is_zero:
+        remainder, _ = _reduce(_s_vector(elements[i], elements[j], lcm), 1,
+                               {0: elements}, keys, budget)
+        if not remainder:
             continue
-        remainder = monic(remainder, order)
-        basis.append(remainder)
-        lms.append(leading_monomial(remainder, order))
-        new = len(basis) - 1
+        element = _element(_primitive(remainder), keys)
+        elements.append(element)
+        lms.append(element[1])
+        new = len(elements) - 1
         for t in range(new):
             push_pair(t, new)
 
-    return _reduce_basis(basis, order, budget)
+    return _reduce_basis(basis[0].sig, elements, order, keys, budget)
 
 
-def _reduce_basis(basis: list[Polynomial], order: Order,
-                  budget: StepBudget) -> tuple[Polynomial, ...]:
+def _reduce_basis(sig: RingSignature, elements: list[_Element], order: Order,
+                  keys: _Keys, budget: StepBudget) -> tuple[Polynomial, ...]:
     """Minimalize leading monomials, then tail-reduce to the reduced basis."""
-    lms = [leading_monomial(g, order) for g in basis]
+    lms = [e[1] for e in elements]
     keep: list[int] = []
     for i, lm in enumerate(lms):
         dominated = False
@@ -246,15 +401,15 @@ def _reduce_basis(basis: list[Polynomial], order: Order,
                 break
         if not dominated:
             keep.append(i)
-    minimal = [basis[i] for i in keep]
+    minimal = [elements[i] for i in keep]
     reduced = []
-    for i, g in enumerate(minimal):
+    for i, (_, _, ints, _) in enumerate(minimal):
         rest = minimal[:i] + minimal[i + 1:]
-        r = normal_form_raw(g, rest, order, budget)
-        if not r.is_zero:
-            reduced.append(monic(r, order))
-    reduced.sort(key=lambda g: order.key(leading_monomial(g, order)))
-    return tuple(reduced)
+        remainder, _ = _reduce({0: dict(ints[0])}, 1, {0: rest}, keys, budget)
+        if remainder:
+            reduced.append(_element(_primitive(remainder), keys))
+    reduced.sort(key=lambda e: keys[e[1]])
+    return tuple(_monic_polynomial(sig, e, order) for e in reduced)
 
 
 # -- ideal handles and operations ---------------------------------------------
@@ -465,6 +620,5 @@ def minimalize_homogeneous(gens: Sequence[Polynomial], sig: RingSignature,
         if normal_form_raw(g, basis, order).is_zero:
             continue
         kept.append(g)
-        basis = _buchberger(list(basis) + [monic(g, order)], len(basis),
-                            order, current_budget())
+        basis = _buchberger(list(basis) + [g], len(basis), order, current_budget())
     return tuple(kept)

@@ -7,6 +7,11 @@ ring as Singular's `modulo` does: the module generated by the columns
 (B e_j, e_j) and the vectors (f e_r, 0), for f in I and r < p, meets the last
 q coordinates in exactly the v with Bv in I*R^p, and a module Groebner basis
 under a position-over-term order eliminates the first p coordinates.
+
+Vectors in and out carry Fraction coefficients.  Inside module_groebner a
+basis element is its primitive integer vector, and every reduction runs in
+the integer kernel of groebner.py; Fractions are formed once, for the
+monic basis that is returned.
 """
 
 from __future__ import annotations
@@ -18,9 +23,18 @@ from fractions import Fraction
 from typing import Sequence
 
 from .groebner import (
+    _Element,
     IdealHandle,
+    _IntVector,
     Order,
     StepBudget,
+    _element,
+    _fractions,
+    _integers,
+    _Keys,
+    _primitive,
+    _reduce,
+    _s_vector,
     current_budget,
     default_order,
     leading_monomial,
@@ -30,10 +44,8 @@ from .poly import (
     Exponents,
     Polynomial,
     RingSignature,
-    mono_div,
     mono_divides,
     mono_lcm,
-    mono_mul,
 )
 from .rings import GradedAlgebra
 
@@ -43,12 +55,14 @@ Column = tuple[Polynomial, ...]
 class Vector:
     """Sparse vector of polynomials, indexed by position."""
 
-    __slots__ = ("sig", "comps", "_lead")
+    # _ints: the primitive integer multiple, made on first use as a reducer
+    __slots__ = ("sig", "comps", "_lead", "_ints")
 
     def __init__(self, sig: RingSignature, comps: dict[int, Polynomial]):
         self.sig = sig
         self.comps = {i: p for i, p in comps.items() if not p.is_zero}
         self._lead: tuple[Order, tuple[int, Exponents]] | None = None
+        self._ints: _IntVector | None = None
 
     @property
     def is_zero(self) -> bool:
@@ -88,71 +102,22 @@ class Vector:
         return f"Vector({{{inside}}})"
 
 
-def _vector_monic(v: Vector, order: Order) -> Vector:
-    lc = v.lead_coefficient(order)
-    return v if lc == 1 else v.scale(1 / lc)
+def _vector_element(v: Vector, order: Order) -> _Element:
+    ints = v._ints
+    if ints is None:
+        ints = v._ints = _primitive(_integers({i: p.terms for i, p in v.comps.items()})[0])
+    pos, mono = v.lead(order)
+    return pos, mono, ints, ints[pos][mono]
 
 
-def _vector_reduce(v: Vector, by_position: dict[int, list[tuple[Exponents, Vector]]],
-                   order: Order, budget: StepBudget) -> Vector:
-    """Full normal form of a vector against basis vectors bucketed by lead position.
-
-    Positions are finished in increasing order: a reducer's lead sits at its
-    smallest position, so the cross-terms it drags in land strictly later and
-    each position is visited once.
-    """
-    sig = v.sig
-    key = order.key
-    remainder: dict[int, Polynomial] = {}
-    carry: dict[int, Polynomial] = dict(v.comps)
-    while carry:
-        pos = min(carry)
-        bucket = by_position.get(pos, ())
-        work = dict(carry.pop(pos).terms)
-        leftover: dict[Exponents, Fraction] = {}
-        quotients: dict[int, dict[Exponents, Fraction]] = {}
-        while work:
-            mono = max(work, key=key)
-            coef = work[mono]
-            hit = None
-            for idx, (lm, g) in enumerate(bucket):
-                if mono_divides(lm, mono):
-                    hit = (idx, lm, g)
-                    break
-            if hit is None:
-                leftover[mono] = coef
-                del work[mono]
-                continue
-            budget.tick()
-            idx, lm, g = hit
-            divisor = g.comps[pos].terms
-            shift = mono_div(mono, lm)
-            factor = coef / divisor[lm]
-            q = quotients.setdefault(idx, {})
-            q[shift] = q.get(shift, Fraction(0)) + factor
-            for e, c in divisor.items():
-                target = mono_mul(e, shift)
-                acc = work.get(target, Fraction(0)) - factor * c
-                if acc:
-                    work[target] = acc
-                else:
-                    work.pop(target, None)
-        if leftover:
-            remainder[pos] = Polynomial(sig, leftover)
-        for idx, q in quotients.items():
-            g = bucket[idx][1]
-            q_poly = Polynomial(sig, q)
-            for i, comp in g.comps.items():
-                if i == pos:
-                    continue
-                dragged = comp * q_poly
-                cur = carry.get(i)
-                acc = cur - dragged if cur is not None else -dragged
-                if acc.is_zero:
-                    carry.pop(i, None)
-                else:
-                    carry[i] = acc
-    return Vector(sig, remainder)
+def _monic_vector(sig: RingSignature, element: _Element, order: Order) -> Vector:
+    pos, mono, ints, lead = element
+    v = Vector(sig, {i: Polynomial._of(sig, _fractions(comp, lead))
+                     for i, comp in ints.items()})
+    v.comps[pos]._lead_cache[order] = mono
+    v._lead = (order, (pos, mono))
+    v._ints = ints
+    return v
 
 
 def module_groebner(gens: Sequence[Vector], order: Order,
@@ -165,24 +130,21 @@ def module_groebner(gens: Sequence[Vector], order: Order,
     """
     if budget is None:
         budget = current_budget()
-    basis: list[Vector] = []
-    leads: list[tuple[int, Exponents]] = []
-    by_position: dict[int, list[tuple[Exponents, Vector]]] = {}
+    keys = _Keys(order)
+    basis: list[_Element] = []
+    buckets: dict[int, list[_Element]] = {}
     # basis indices by lead position, increasing: pairs across two positions
     # have no S-vector, so pairs and the chain test stay inside one list
     members: dict[int, list[int]] = {}
 
-    def install(v: Vector):
-        v = _vector_monic(v, order)
-        pos, mono = v.lead(order)
-        members.setdefault(pos, []).append(len(basis))
-        basis.append(v)
-        leads.append((pos, mono))
-        by_position.setdefault(pos, []).append((mono, v))
+    def install(element: _Element):
+        members.setdefault(element[0], []).append(len(basis))
+        basis.append(element)
+        buckets.setdefault(element[0], []).append(element)
 
     for g in gens:
         if not g.is_zero:
-            install(g)
+            install(_vector_element(g, order))
     if not basis:
         return []
 
@@ -191,8 +153,8 @@ def module_groebner(gens: Sequence[Vector], order: Order,
     counter = itertools.count()
 
     def push_pair(i: int, j: int):
-        lcm = mono_lcm(leads[i][1], leads[j][1])
-        heapq.heappush(heap, (order.key(lcm), next(counter), i, j, lcm))
+        lcm = mono_lcm(basis[i][1], basis[j][1])
+        heapq.heappush(heap, (keys[lcm], next(counter), i, j, lcm))
         pending.add((i, j))
 
     for i, j in sorted(pair for group in members.values()
@@ -203,10 +165,9 @@ def module_groebner(gens: Sequence[Vector], order: Order,
         _, _, i, j, lcm = heapq.heappop(heap)
         pending.discard((i, j))
         budget.tick()
-        pos = leads[i][0]
         skip = False
-        for k in members[pos]:
-            if k in (i, j) or not mono_divides(leads[k][1], lcm):
+        for k in members[basis[i][0]]:
+            if k in (i, j) or not mono_divides(basis[k][1], lcm):
                 continue
             pik = (min(i, k), max(i, k))
             pjk = (min(j, k), max(j, k))
@@ -215,66 +176,59 @@ def module_groebner(gens: Sequence[Vector], order: Order,
                 break
         if skip:
             continue
-        gi, gj = basis[i], basis[j]
-        shift_i = mono_div(lcm, leads[i][1])
-        shift_j = mono_div(lcm, leads[j][1])
-        s = _shifted(gi, shift_i).sub_scaled(gj, shift_j, Fraction(1))
-        remainder = _vector_reduce(s, by_position, order, budget)
-        if not remainder.is_zero:
-            install(remainder)
-            group = members[remainder.lead(order)[0]]
+        remainder, _ = _reduce(_s_vector(basis[i], basis[j], lcm), 1, buckets,
+                               keys, budget)
+        if remainder:
+            install(_element(_primitive(remainder), keys))
+            group = members[basis[-1][0]]
             for t in group[:-1]:
                 push_pair(t, group[-1])
-    return _reduce_module_basis(basis, order, budget)
+    sig = next(g.sig for g in gens)
+    return [_monic_vector(sig, e, order)
+            for e in _reduce_module_basis(basis, keys, budget)]
 
 
-def _reduce_module_basis(basis: list[Vector], order: Order,
-                         budget: StepBudget) -> list[Vector]:
+def _reduce_module_basis(basis: list[_Element], keys: _Keys,
+                         budget: StepBudget) -> list[_Element]:
     """The unique reduced basis: minimal leads, tails fully inter-reduced."""
     groups: dict[int, list[tuple[int, Exponents]]] = {}
-    for j, w in enumerate(basis):
-        pos, mono = w.lead(order)
+    for j, (pos, mono, _, _) in enumerate(basis):
         groups.setdefault(pos, []).append((j, mono))
 
-    def dominated(i: int, v: Vector) -> bool:
-        pos, mono = v.lead(order)
+    def dominated(i: int, pos: int, mono: Exponents) -> bool:
         return any(j != i and mono_divides(mj, mono) and (mj != mono or j < i)
                    for j, mj in groups[pos])
 
-    kept = [v for i, v in enumerate(basis) if not dominated(i, v)]
+    kept = [e for i, e in enumerate(basis) if not dominated(i, e[0], e[1])]
     # tails in increasing lead order: every reducer a tail can see is final,
     # so one sweep reaches the fixpoint, and the reducers grow as it goes
-    def ascending(v: Vector):
-        pos, mono = v.lead(order)
-        return (-pos, order.key(mono))
-
-    kept.sort(key=ascending)
-    reducers: dict[int, list[tuple[Exponents, Vector]]] = {}
-    for i, v in enumerate(kept):
-        kept[i] = v = _vector_monic(_vector_reduce(v, reducers, order, budget), order)
-        pos, mono = v.lead(order)
-        reducers.setdefault(pos, []).append((mono, v))
-    kept.sort(key=lambda v: (v.lead(order)[0], order.key(v.lead(order)[1])))
+    kept.sort(key=lambda e: (-e[0], keys[e[1]]))
+    reducers: dict[int, list[_Element]] = {}
+    for i, (_, _, ints, _) in enumerate(kept):
+        remainder, _ = _reduce({p: dict(comp) for p, comp in ints.items()}, 1,
+                               reducers, keys, budget)
+        kept[i] = _element(_primitive(remainder), keys)
+        reducers.setdefault(kept[i][0], []).append(kept[i])
+    kept.sort(key=lambda e: (e[0], keys[e[1]]))
     return kept
-
-
-def _shifted(v: Vector, shift: Exponents) -> Vector:
-    if all(e == 0 for e in shift):
-        return v
-    return Vector(v.sig, {i: p.mul_monomial(shift) for i, p in v.comps.items()})
 
 
 def vector_normal_form(v: Vector, basis: Sequence[Vector], order: Order,
                        budget: StepBudget | None = None) -> Vector:
+    """Full remainder of v under division by the basis vectors: each step
+    takes the largest remaining term and the first basis vector, in list
+    order, whose leading term divides it."""
     if budget is None:
         budget = current_budget()
-    by_position: dict[int, list[tuple[Exponents, Vector]]] = {}
+    buckets: dict[int, list[_Element]] = {}
     for g in basis:
-        if g.is_zero:
-            continue
-        pos, mono = g.lead(order)
-        by_position.setdefault(pos, []).append((mono, g))
-    return _vector_reduce(v, by_position, order, budget)
+        if not g.is_zero:
+            element = _vector_element(g, order)
+            buckets.setdefault(element[0], []).append(element)
+    vec, den = _integers({i: p.terms for i, p in v.comps.items()})
+    remainder, den = _reduce(vec, den, buckets, _Keys(order), budget)
+    return Vector(v.sig, {i: Polynomial._of(v.sig, _fractions(comp, den))
+                          for i, comp in remainder.items()})
 
 
 # -- kernels over the quotient -------------------------------------------------

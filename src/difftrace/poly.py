@@ -2,14 +2,17 @@
 
 Polynomials are sparse maps from exponent tuples to Fraction coefficients,
 attached to a fixed RingSignature (variable names plus positive integer
-weights).  Everything here is immutable by convention: arithmetic returns
-fresh objects and never mutates operands.
+weights).  Every public polynomial carries exact Fractions; the reduction
+loops of the Groebner engines work on integer copies (see groebner.py),
+which a polynomial caches once made.  Everything here is immutable by
+convention: arithmetic returns fresh objects and never mutates operands.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import add, le, mul, neg, sub
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Union
@@ -81,34 +84,35 @@ class RingSignature:
 # -- monomial helpers (exponent tuples) --------------------------------------
 
 def mono_mul(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Exponents, b: Exponents) -> bool:
     """Whether x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a: Exponents, b: Exponents) -> Exponents:
     """Exponents of x^a / x^b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def grevlex_key(exps: Exponents, weights: tuple[int, ...]):
     """Sort key for graded reverse lexicographic order refined by weighted
     total degree: higher key means larger monomial."""
-    deg = sum(w * e for w, e in zip(weights, exps))
-    return (deg, tuple(-e for e in reversed(exps)))
+    return (sum(map(mul, weights, exps)), tuple(map(neg, reversed(exps))))
 
 
 class Polynomial:
     """A polynomial with Fraction coefficients over a fixed signature."""
 
-    __slots__ = ("sig", "terms", "_lead_cache")
+    # _ints: the primitive integer multiple of the terms, made on first use
+    # as a reducer (groebner._primitive)
+    __slots__ = ("sig", "terms", "_lead_cache", "_ints")
 
     def __init__(self, sig: RingSignature,
                  terms: Mapping[Exponents, Scalar] | Iterable[tuple[Exponents, Scalar]] = ()):
@@ -129,6 +133,15 @@ class Polynomial:
         self.sig = sig
         self.terms = cleaned
         self._lead_cache: dict = {}
+        self._ints = None
+
+    @classmethod
+    def _of(cls, sig: RingSignature, terms: dict[Exponents, Fraction]) -> "Polynomial":
+        """Wrap terms that are already clean: no zero coefficient, every
+        exponent tuple of the signature's length."""
+        out = cls.__new__(cls)
+        out.sig, out.terms, out._lead_cache, out._ints = sig, terms, {}, None
+        return out
 
     # -- constructors ---------------------------------------------------
 
@@ -204,16 +217,10 @@ class Polynomial:
                 acc.pop(exps, None)
             else:
                 acc[exps] = s
-        out = Polynomial.__new__(Polynomial)
-        out.sig, out.terms, out._lead_cache = self.sig, acc, {}
-        return out
+        return Polynomial._of(self.sig, acc)
 
     def __neg__(self) -> "Polynomial":
-        out = Polynomial.__new__(Polynomial)
-        out.sig = self.sig
-        out.terms = {e: -c for e, c in self.terms.items()}
-        out._lead_cache = {}
-        return out
+        return Polynomial._of(self.sig, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -231,9 +238,7 @@ class Polynomial:
                     acc.pop(e, None)
                 else:
                     acc[e] = s
-        out = Polynomial.__new__(Polynomial)
-        out.sig, out.terms, out._lead_cache = self.sig, acc, {}
-        return out
+        return Polynomial._of(self.sig, acc)
 
     def __rmul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
@@ -244,21 +249,14 @@ class Polynomial:
         c = Fraction(c)
         if c == 0:
             return Polynomial.zero(self.sig)
-        out = Polynomial.__new__(Polynomial)
-        out.sig = self.sig
-        out.terms = {e: c * v for e, v in self.terms.items()}
-        out._lead_cache = {}
-        return out
+        return Polynomial._of(self.sig, {e: c * v for e, v in self.terms.items()})
 
     def mul_monomial(self, exps: Exponents, coef: Scalar = 1) -> "Polynomial":
         coef = Fraction(coef)
         if coef == 0:
             return Polynomial.zero(self.sig)
-        out = Polynomial.__new__(Polynomial)
-        out.sig = self.sig
-        out.terms = {mono_mul(e, exps): coef * c for e, c in self.terms.items()}
-        out._lead_cache = {}
-        return out
+        return Polynomial._of(self.sig, {mono_mul(e, exps): coef * c
+                                         for e, c in self.terms.items()})
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
