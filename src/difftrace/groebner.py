@@ -176,20 +176,6 @@ def _fractions(comp: dict[Exponents, int], den: int) -> dict[Exponents, Fraction
     return {e: Fraction(c, den) for e, c in comp.items()}
 
 
-# past this size the common denominator is checked for a factor that every
-# coefficient shares, so a long reduction does not grow the integers for nothing
-_DEN_BITS = 64
-
-
-def _divide_content(den: int, comps) -> int:
-    g = gcd(den, *(c for comp in comps for c in comp.values()))
-    if g > 1:
-        for comp in comps:
-            for e in comp:
-                comp[e] //= g
-    return den // g
-
-
 def _reduce(vec: _IntVector, den: int, buckets: dict[int, list[_Element]],
             keys: _Keys, budget: StepBudget) -> tuple[_IntVector, int]:
     """Full remainder of vec / den against reducers bucketed by lead position,
@@ -244,8 +230,6 @@ def _reduce(vec: _IntVector, den: int, buckets: dict[int, list[_Element]],
                         del target[t]
                 if not target and i != pos:
                     del vec[i]
-            if scale != 1 and den.bit_length() > _DEN_BITS:
-                den = _divide_content(den, (work, *vec.values(), *remainder.values()))
         if not done:
             del remainder[pos]
     return remainder, den

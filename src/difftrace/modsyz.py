@@ -23,15 +23,15 @@ from fractions import Fraction
 from typing import Sequence
 
 from .groebner import (
-    _Element,
     IdealHandle,
-    _IntVector,
     Order,
     StepBudget,
+    _Element,
+    _IntVector,
+    _Keys,
     _element,
     _fractions,
     _integers,
-    _Keys,
     _primitive,
     _reduce,
     _s_vector,
