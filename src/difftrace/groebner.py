@@ -1,9 +1,11 @@
 """Buchberger's algorithm and ideal arithmetic over Q.
 
 All computations are exact.  Polynomials in and out carry Fraction
-coefficients; division with remainder, for ideals here and for modules in
-modsyz.py, runs in one kernel (`_reduce`) on integer coefficients over one
-common denominator, and forms Fractions only for the remainder it returns.
+coefficients.  One Buchberger engine (`_groebner`) computes Groebner bases
+for ideals here and for modules in modsyz.py: an ideal is the rank-1 module
+at position 0.  Division with remainder runs in one kernel (`_reduce`) on
+integer coefficients over one common denominator, and forms Fractions only
+for the remainder or basis it returns.
 Monomial orders are weighted graded reverse lexicographic (the default
 everywhere) and a two-block elimination order used by
 eliminate/intersection.  Every reduction ticks a step budget so runaway
@@ -28,7 +30,6 @@ from .poly import (
     Polynomial,
     RingSignature,
     grevlex_key,
-    mono_div,
     mono_divides,
     mono_lcm,
     mono_mul,
@@ -133,7 +134,7 @@ def monic(p: Polynomial, order: Order) -> Polynomial:
 #
 # The kernel reduces a vector {position: {monomial: int}} whose exact value is
 # that vector divided by one common denominator; a polynomial is the vector
-# at position 0.  A reducer, and a basis element of either Buchberger loop,
+# at position 0.  A reducer, and a basis element of the Buchberger engine,
 # is an _Element: (lead position, lead monomial, integer vector, lead
 # coefficient).  A reduction step is the same for every nonzero multiple of
 # a reducer, so each is kept as its primitive multiple: coprime integers,
@@ -293,12 +294,85 @@ def _monic_polynomial(sig: RingSignature, element: _Element, order: Order) -> Po
     return g
 
 
-def s_polynomial(f: Polynomial, g: Polynomial, order: Order) -> Polynomial:
-    lf, lg = leading_monomial(f, order), leading_monomial(g, order)
-    lcm = mono_lcm(lf, lg)
-    left = f.mul_monomial(mono_div(lcm, lf), 1 / f.terms[lf])
-    right = g.mul_monomial(mono_div(lcm, lg), 1 / g.terms[lg])
-    return left - right
+def _groebner(elements: list[_Element], first_new: int, order: Order,
+              budget: StepBudget) -> list[_Element]:
+    """The reduced Groebner basis of the module the elements generate, as
+    primitive elements in increasing lead order.  The first `first_new`
+    elements must already form a reduced basis: only pairs (i, j) with
+    j >= first_new are made, in the order a fresh call makes them.
+
+    An ideal is the rank-1 module at position 0.  Pairs are processed in
+    ascending lcm order and only inside one lead position, as two elements
+    leading in different positions have no S-vector.  The chain criterion
+    drops a pair when a third lead in its position divides the lcm and
+    neither companion pair is pending.  The coprime-lead criterion holds
+    only when every element lies in position 0 alone, so only an ideal
+    gets it.
+    """
+    keys = _Keys(order)
+    ideal = all(ints.keys() == {0} for _, _, ints, _ in elements)
+    basis: list[_Element] = []
+    buckets: dict[int, list[_Element]] = {}
+    # basis indices by lead position, increasing
+    members: dict[int, list[int]] = {}
+
+    def install(element: _Element):
+        members.setdefault(element[0], []).append(len(basis))
+        basis.append(element)
+        buckets.setdefault(element[0], []).append(element)
+
+    for element in elements:
+        install(element)
+    pending: set[tuple[int, int]] = set()
+    heap: list = []
+    counter = itertools.count()
+
+    def push_pair(i: int, j: int):
+        lcm = mono_lcm(basis[i][1], basis[j][1])
+        heapq.heappush(heap, (keys[lcm], next(counter), i, j, lcm))
+        pending.add((i, j))
+
+    for i, j in sorted(pair for group in members.values()
+                       for pair in itertools.combinations(group, 2)
+                       if pair[1] >= first_new):
+        push_pair(i, j)
+
+    while heap:
+        _, _, i, j, lcm = heapq.heappop(heap)
+        pending.discard((i, j))
+        budget.tick()
+        if ideal and lcm == mono_mul(basis[i][1], basis[j][1]):
+            continue
+        for k in members[basis[i][0]]:
+            if k in (i, j) or not mono_divides(basis[k][1], lcm):
+                continue
+            pik, pjk = (min(i, k), max(i, k)), (min(j, k), max(j, k))
+            if pik not in pending and pjk not in pending:
+                break
+        else:
+            remainder, _ = _reduce(_s_vector(basis[i], basis[j], lcm), 1, buckets,
+                                   keys, budget)
+            if remainder:
+                install(_element(_primitive(remainder), keys))
+                group = members[basis[-1][0]]
+                for t in group[:-1]:
+                    push_pair(t, group[-1])
+
+    # minimal leads, then tails in increasing lead order: every reducer a
+    # tail can see is final, so one sweep reaches the reduced basis
+    kept = [e for i, e in enumerate(basis)
+            if not any(j != i and mono_divides(basis[j][1], e[1])
+                       and (basis[j][1] != e[1] or j < i)
+                       for j in members[e[0]])]
+    kept.sort(key=lambda e: (-e[0], keys[e[1]]))
+    reducers: dict[int, list[_Element]] = {}
+    for i, (_, _, ints, _) in enumerate(kept):
+        remainder, _ = _reduce({p: dict(comp) for p, comp in ints.items()}, 1,
+                               reducers, keys, budget)
+        kept[i] = _element(_primitive(remainder), keys)
+        reducers.setdefault(kept[i][0], []).append(kept[i])
+    kept.sort(key=lambda e: (e[0], keys[e[1]]))
+    return kept
 
 
 def buchberger(gens: Iterable[Polynomial], order: Order,
@@ -316,84 +390,12 @@ def buchberger(gens: Iterable[Polynomial], order: Order,
 def _buchberger(basis: list[Polynomial], first_new: int, order: Order,
                 budget: StepBudget) -> tuple[Polynomial, ...]:
     """Buchberger on a basis whose first `first_new` elements already form
-    a reduced Groebner basis: only pairs (i, j) with j >= first_new are
-    made, in the order a fresh call makes them."""
+    a reduced Groebner basis (see _groebner)."""
     if not basis:
         return ()
-    keys = _Keys(order)
     elements = [_poly_element(g, order) for g in basis]
-    lms = [e[1] for e in elements]
-    pending: set[tuple[int, int]] = set()
-    heap: list = []
-    counter = itertools.count()
-
-    def push_pair(i: int, j: int):
-        lcm = mono_lcm(lms[i], lms[j])
-        heapq.heappush(heap, (keys[lcm], next(counter), i, j, lcm))
-        pending.add((i, j))
-
-    for i, j in itertools.combinations(range(len(elements)), 2):
-        if j >= first_new:
-            push_pair(i, j)
-
-    while heap:
-        _, _, i, j, lcm = heapq.heappop(heap)
-        pending.discard((i, j))
-        budget.tick()
-        # coprime leading monomials: the S-polynomial reduces to zero
-        if lcm == mono_mul(lms[i], lms[j]):
-            continue
-        # chain criterion: some g_k divides the lcm and both companion pairs
-        # are no longer pending
-        skip = False
-        for k in range(len(elements)):
-            if k in (i, j) or not mono_divides(lms[k], lcm):
-                continue
-            pik = (min(i, k), max(i, k))
-            pjk = (min(j, k), max(j, k))
-            if pik not in pending and pjk not in pending:
-                skip = True
-                break
-        if skip:
-            continue
-        remainder, _ = _reduce(_s_vector(elements[i], elements[j], lcm), 1,
-                               {0: elements}, keys, budget)
-        if not remainder:
-            continue
-        element = _element(_primitive(remainder), keys)
-        elements.append(element)
-        lms.append(element[1])
-        new = len(elements) - 1
-        for t in range(new):
-            push_pair(t, new)
-
-    return _reduce_basis(basis[0].sig, elements, order, keys, budget)
-
-
-def _reduce_basis(sig: RingSignature, elements: list[_Element], order: Order,
-                  keys: _Keys, budget: StepBudget) -> tuple[Polynomial, ...]:
-    """Minimalize leading monomials, then tail-reduce to the reduced basis."""
-    lms = [e[1] for e in elements]
-    keep: list[int] = []
-    for i, lm in enumerate(lms):
-        dominated = False
-        for j, other in enumerate(lms):
-            if j == i:
-                continue
-            if mono_divides(other, lm) and (other != lm or j < i):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(i)
-    minimal = [elements[i] for i in keep]
-    reduced = []
-    for i, (_, _, ints, _) in enumerate(minimal):
-        rest = minimal[:i] + minimal[i + 1:]
-        remainder, _ = _reduce({0: dict(ints[0])}, 1, {0: rest}, keys, budget)
-        if remainder:
-            reduced.append(_element(_primitive(remainder), keys))
-    reduced.sort(key=lambda e: keys[e[1]])
-    return tuple(_monic_polynomial(sig, e, order) for e in reduced)
+    return tuple(_monic_polynomial(basis[0].sig, e, order)
+                 for e in _groebner(elements, first_new, order, budget))
 
 
 # -- ideal handles and operations ---------------------------------------------

@@ -8,18 +8,17 @@ ring as Singular's `modulo` does: the module generated by the columns
 q coordinates in exactly the v with Bv in I*R^p, and a module Groebner basis
 under a position-over-term order eliminates the first p coordinates.
 
-Vectors in and out carry Fraction coefficients.  Inside module_groebner a
-basis element is its primitive integer vector, and every reduction runs in
-the integer kernel of groebner.py; Fractions are formed once, for the
+Vectors in and out carry Fraction coefficients.  module_groebner runs the
+Buchberger engine of groebner.py, the one that ideals use as rank-1
+modules.  There a basis element is its primitive integer vector and every
+reduction runs in the integer kernel; Fractions are formed once, for the
 monic basis that is returned.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .groebner import (
@@ -29,24 +28,17 @@ from .groebner import (
     _Element,
     _IntVector,
     _Keys,
-    _element,
     _fractions,
+    _groebner,
     _integers,
     _primitive,
     _reduce,
-    _s_vector,
     current_budget,
     default_order,
     leading_monomial,
     normal_form_raw,
 )
-from .poly import (
-    Exponents,
-    Polynomial,
-    RingSignature,
-    mono_divides,
-    mono_lcm,
-)
+from .poly import Exponents, Polynomial, RingSignature
 from .rings import GradedAlgebra
 
 Column = tuple[Polynomial, ...]
@@ -78,25 +70,6 @@ class Vector:
         self._lead = (order, val)
         return val
 
-    def lead_coefficient(self, order: Order) -> Fraction:
-        pos, mono = self.lead(order)
-        return self.comps[pos].terms[mono]
-
-    def scale(self, c) -> "Vector":
-        return Vector(self.sig, {i: p.scale(c) for i, p in self.comps.items()})
-
-    def sub_scaled(self, other: "Vector", shift: Exponents, factor) -> "Vector":
-        comps = dict(self.comps)
-        for i, p in other.comps.items():
-            moved = p.mul_monomial(shift, factor)
-            cur = comps.get(i)
-            acc = cur - moved if cur is not None else -moved
-            if acc.is_zero:
-                comps.pop(i, None)
-            else:
-                comps[i] = acc
-        return Vector(self.sig, comps)
-
     def __repr__(self) -> str:
         inside = ", ".join(f"{i}: {p}" for i, p in sorted(self.comps.items()))
         return f"Vector({{{inside}}})"
@@ -125,92 +98,18 @@ def module_groebner(gens: Sequence[Vector], order: Order,
     """Reduced Groebner basis of the submodule generated by gens, under the
     position-over-term refinement of the given monomial order.
 
-    Only the chain criterion is applied; the coprime-lead shortcut is not
+    The chain criterion prunes pairs; the coprime-lead criterion is applied
+    only to a rank-1 module at position 0, which is an ideal, as it is not
     valid for module pairs.
     """
     if budget is None:
         budget = current_budget()
-    keys = _Keys(order)
-    basis: list[_Element] = []
-    buckets: dict[int, list[_Element]] = {}
-    # basis indices by lead position, increasing: pairs across two positions
-    # have no S-vector, so pairs and the chain test stay inside one list
-    members: dict[int, list[int]] = {}
-
-    def install(element: _Element):
-        members.setdefault(element[0], []).append(len(basis))
-        basis.append(element)
-        buckets.setdefault(element[0], []).append(element)
-
-    for g in gens:
-        if not g.is_zero:
-            install(_vector_element(g, order))
-    if not basis:
+    gens = [g for g in gens if not g.is_zero]
+    if not gens:
         return []
-
-    pending: set[tuple[int, int]] = set()
-    heap: list = []
-    counter = itertools.count()
-
-    def push_pair(i: int, j: int):
-        lcm = mono_lcm(basis[i][1], basis[j][1])
-        heapq.heappush(heap, (keys[lcm], next(counter), i, j, lcm))
-        pending.add((i, j))
-
-    for i, j in sorted(pair for group in members.values()
-                       for pair in itertools.combinations(group, 2)):
-        push_pair(i, j)
-
-    while heap:
-        _, _, i, j, lcm = heapq.heappop(heap)
-        pending.discard((i, j))
-        budget.tick()
-        skip = False
-        for k in members[basis[i][0]]:
-            if k in (i, j) or not mono_divides(basis[k][1], lcm):
-                continue
-            pik = (min(i, k), max(i, k))
-            pjk = (min(j, k), max(j, k))
-            if pik not in pending and pjk not in pending:
-                skip = True
-                break
-        if skip:
-            continue
-        remainder, _ = _reduce(_s_vector(basis[i], basis[j], lcm), 1, buckets,
-                               keys, budget)
-        if remainder:
-            install(_element(_primitive(remainder), keys))
-            group = members[basis[-1][0]]
-            for t in group[:-1]:
-                push_pair(t, group[-1])
-    sig = next(g.sig for g in gens)
-    return [_monic_vector(sig, e, order)
-            for e in _reduce_module_basis(basis, keys, budget)]
-
-
-def _reduce_module_basis(basis: list[_Element], keys: _Keys,
-                         budget: StepBudget) -> list[_Element]:
-    """The unique reduced basis: minimal leads, tails fully inter-reduced."""
-    groups: dict[int, list[tuple[int, Exponents]]] = {}
-    for j, (pos, mono, _, _) in enumerate(basis):
-        groups.setdefault(pos, []).append((j, mono))
-
-    def dominated(i: int, pos: int, mono: Exponents) -> bool:
-        return any(j != i and mono_divides(mj, mono) and (mj != mono or j < i)
-                   for j, mj in groups[pos])
-
-    kept = [e for i, e in enumerate(basis) if not dominated(i, e[0], e[1])]
-    # tails in increasing lead order: every reducer a tail can see is final,
-    # so one sweep reaches the fixpoint, and the reducers grow as it goes
-    kept.sort(key=lambda e: (-e[0], keys[e[1]]))
-    reducers: dict[int, list[_Element]] = {}
-    for i, (_, _, ints, _) in enumerate(kept):
-        remainder, _ = _reduce({p: dict(comp) for p, comp in ints.items()}, 1,
-                               reducers, keys, budget)
-        kept[i] = _element(_primitive(remainder), keys)
-        reducers.setdefault(kept[i][0], []).append(kept[i])
-    kept.sort(key=lambda e: (e[0], keys[e[1]]))
-    return kept
+    elements = [_vector_element(g, order) for g in gens]
+    return [_monic_vector(gens[0].sig, e, order)
+            for e in _groebner(elements, 0, order, budget)]
 
 
 def vector_normal_form(v: Vector, basis: Sequence[Vector], order: Order,
@@ -261,23 +160,22 @@ def syzygies(rows: Sequence[Sequence[Polynomial]], algebra: GradedAlgebra,
     defining = algebra.defining.groebner_basis
     gens = []
     for j in range(q):
-        comps = {i: normal_form_raw(rows[i][j], defining, order) for i in range(p)}
+        comps = {i: normal_form_raw(rows[i][j], defining, order)
+                 for i in range(p) if not rows[i][j].is_zero}
         comps[p + j] = Polynomial.one(sig)
         gens.append(Vector(sig, comps))
     gens += [Vector(sig, {r: f}) for f in defining for r in range(p)]
 
     basis = module_groebner(gens, order)
+    zero = Polynomial.zero(sig)
     seen: list[Column] = []
     for g in basis:
         if any(pos < p for pos in g.comps):
             continue
-        column = []
-        for j in range(q):
-            entry = g.comps.get(p + j, Polynomial.zero(sig))
-            column.append(normal_form_raw(entry, defining, order))
+        column = tuple(normal_form_raw(g.comps[p + j], defining, order)
+                       if p + j in g.comps else zero for j in range(q))
         if all(e.is_zero for e in column):
             continue
-        column = tuple(column)
         if column not in seen:
             seen.append(column)
     seen.sort(key=lambda col: tuple(str(e) for e in col))
@@ -299,7 +197,7 @@ def kernel_membership(column: Column, generators: Sequence[Column],
     for f in algebra.defining.gens:
         for r in range(q):
             gens.append(Vector(sig, {r: f}))
-    basis = module_groebner([g for g in gens if not g.is_zero], order)
+    basis = module_groebner(gens, order)
     target = Vector(sig, dict(enumerate(column)))
     return vector_normal_form(target, basis, order).is_zero
 

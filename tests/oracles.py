@@ -12,7 +12,8 @@ of simplicial complexes has a reference here too: the canonical facet list
 under all vertex permutations, computed for every family.  So has division
 with remainder: the engine's reduction loop as it was on Fraction
 coefficients, which its integer loop must match remainder for remainder and
-step for step.
+step for step.  The S-polynomial of the Buchberger certificate lives here
+too, so the certificate shares no code with the engine it checks.
 """
 
 from __future__ import annotations
@@ -401,3 +402,14 @@ def oracle_vector_reduce(vector: dict[int, Polynomial],
                 else:
                     carry[i] = acc
     return remainder, steps
+
+
+# -- S-polynomials ----------------------------------------------------------------
+
+def s_polynomial(f: Polynomial, g: Polynomial, key) -> Polynomial:
+    """The S-polynomial of f and g, with leading terms taken under `key`."""
+    lf, lg = max(f.terms, key=key), max(g.terms, key=key)
+    lcm = tuple(map(max, lf, lg))
+    left = f.mul_monomial(tuple(a - b for a, b in zip(lcm, lf)), 1 / f.terms[lf])
+    right = g.mul_monomial(tuple(a - b for a, b in zip(lcm, lg)), 1 / g.terms[lg])
+    return left - right

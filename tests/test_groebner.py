@@ -28,11 +28,10 @@ from difftrace.groebner import (
     normal_form,
     normal_form_raw,
     radical_membership,
-    s_polynomial,
     step_budget,
 )
 from difftrace.poly import Polynomial, RingSignature, parse_many, parse_polynomial
-from oracles import monomials_of_weighted_degree, oracle_membership
+from oracles import monomials_of_weighted_degree, oracle_membership, s_polynomial
 from strategies import homogeneous_polynomials
 
 XY = RingSignature.standard("x", "y")
@@ -47,7 +46,7 @@ def is_groebner_basis(basis, order):
     """Buchberger criterion as an after-the-fact certificate."""
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            s = s_polynomial(basis[i], basis[j], order)
+            s = s_polynomial(basis[i], basis[j], order.key)
             if not normal_form_raw(s, basis, order).is_zero:
                 return False
     return True

@@ -4,7 +4,8 @@ The engine reduces on integers over one common denominator; the reference in
 `tests/oracles.py` is the reduction loop on Fraction coefficients.  Both must
 make the same reductions: the same remainder, exactly, and the same number
 of steps.  Coefficients such as 3/4 and -7/2 and leading coefficients other
-than 1 make the integer loop rescale its vector and its reducers.
+than 1 make the integer loop rescale its vector and its reducers.  An ideal
+run as a rank-1 module must get the same basis in the same steps.
 """
 
 from __future__ import annotations
@@ -103,6 +104,26 @@ class TestModuleReduction:
         r = vector_normal_form(Vector(XYZ, v), [Vector(XYZ, g) for g in gens],
                                order, budget)
         assert_matches_reference(r.comps, budget.used, v, gens, order)
+
+
+class TestIdealAsRankOneModule:
+    @settings(max_examples=100)
+    @given(st.sampled_from(ORDERS), st.lists(polynomials(), min_size=1, max_size=4))
+    def test_same_basis_and_steps(self, order, gens):
+        ideal_budget, module_budget = StepBudget(10 ** 9), StepBudget(10 ** 9)
+        basis = buchberger(gens, order, ideal_budget)
+        module = module_groebner([Vector(XYZ, {0: g}) for g in gens], order,
+                                 module_budget)
+        assert [g.comps for g in module] == [{0: g} for g in basis]
+        assert module_budget.used == ideal_budget.used
+
+    def test_coprime_leads_of_module_pairs_are_not_skipped(self):
+        # the leads x and y are coprime, but y*(x, 1) - x*(y, 0) = (0, y)
+        # does not reduce to zero: the coprime-lead criterion is for rank 1
+        x, y = Polynomial.variable(XYZ, 0), Polynomial.variable(XYZ, 1)
+        basis = module_groebner([Vector(XYZ, {0: x, 1: Polynomial.one(XYZ)}),
+                                 Vector(XYZ, {0: y})], ORDERS[0])
+        assert {1: y} in [g.comps for g in basis]
 
 
 def test_denominator_grows_past_a_machine_word():
