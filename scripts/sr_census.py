@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 
 from difftrace.simplicial import (
     combinatorial_nearly_regular,
@@ -22,29 +21,18 @@ from difftrace.simplicial import (
 from difftrace.traces import is_nearly_regular
 
 
-@dataclass
-class CensusConfig:
-    vertices: int = 5
-    verbose: bool = False
-
-
-def parse_config(argv: list[str]) -> CensusConfig:
+def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--vertices", type=int, default=5,
                         help="largest vertex count to sweep (default 5)")
     parser.add_argument("--verbose", action="store_true",
                         help="print every complex, not only disagreements")
     args = parser.parse_args(argv)
-    return CensusConfig(vertices=args.vertices, verbose=args.verbose)
-
-
-def main(argv: list[str]) -> int:
-    config = parse_config(argv)
     started = time.perf_counter()
     disagreements = 0
     checked = 0
     positives = 0
-    for delta in iso_classes(config.vertices):
+    for delta in iso_classes(args.vertices):
         if not all(piece.is_pure for piece in delta.components):
             continue
         checked += 1
@@ -55,10 +43,10 @@ def main(argv: list[str]) -> int:
             disagreements += 1
             print(f"DISAGREE {delta.describe()}: "
                   f"combinatorial={combinatorial} algebraic={algebraic}")
-        elif config.verbose:
+        elif args.verbose:
             print(f"ok {delta.describe()}: nearly regular = {combinatorial}")
     elapsed = time.perf_counter() - started
-    print(f"checked {checked} classes on <= {config.vertices} vertices "
+    print(f"checked {checked} classes on <= {args.vertices} vertices "
           f"({positives} nearly regular) in {elapsed:.1f}s; "
           f"{disagreements} disagreement(s)")
     return 1 if disagreements else 0

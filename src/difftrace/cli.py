@@ -13,6 +13,7 @@ nonzero exit except the error on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -35,7 +36,7 @@ from .groebner import (
 )
 from .poly import ParseError
 from .rings import AssumptionError, GradedAlgebra, HomogeneityError
-from .ringfile import RingDescription, RingFileError, load_ring
+from .ringfile import RingFileError, load_ring
 from .simplicial import (
     combinatorial_nearly_regular,
     parse_facets,
@@ -66,10 +67,6 @@ def _ideal_strings(algebra: GradedAlgebra, handle: IdealHandle) -> list[str]:
     return [str(g) for g in algebra.presented_generators(handle)]
 
 
-def _ring_json(description: RingDescription) -> dict:
-    return description.as_json()
-
-
 def _algebra_json(algebra: GradedAlgebra) -> dict:
     return {
         "vars": [{"name": n, "weight": w}
@@ -91,7 +88,7 @@ def _cmd_trace(args) -> dict:
     handle = diff_trace(algebra, args.power)
     return {
         "command": "trace",
-        "inputs": {"ring": _ring_json(description), "power": args.power},
+        "inputs": {"ring": description.as_json(), "power": args.power},
         "results": {
             "generators": _ideal_strings(algebra, handle),
             "isWholeRing": handle.is_trivial,
@@ -115,7 +112,7 @@ def _cmd_classify(args) -> dict:
     regular = is_regular_via_trace(algebra) if algebra.asserted_reduced else None
     return {
         "command": "classify",
-        "inputs": {"ring": _ring_json(description)},
+        "inputs": {"ring": description.as_json()},
         "results": {
             "dimension": dim,
             "traces": traces,
@@ -141,7 +138,7 @@ def _cmd_singular(args) -> dict:
         results["radicalsAgree"] = radical_equal(trace, jacobian)
     return {
         "command": "singular",
-        "inputs": {"ring": _ring_json(description),
+        "inputs": {"ring": description.as_json(),
                    "crossCheck": bool(args.cross_check)},
         "results": results,
     }
@@ -152,7 +149,7 @@ def _cmd_prank(args) -> dict:
     algebra = description.algebra
     return {
         "command": "prank",
-        "inputs": {"ring": _ring_json(description)},
+        "inputs": {"ring": description.as_json()},
         "results": {
             "dimension": algebra.dimension,
             "polynomialRank": polynomial_rank(algebra),
@@ -160,47 +157,24 @@ def _cmd_prank(args) -> dict:
     }
 
 
-def _cmd_tensor(args) -> dict:
+def _cmd_product(build, predict, args) -> dict:
     da = load_ring(args.ring_a)
     db = load_ring(args.ring_b)
-    product = tensor_product(da.algebra, db.algebra)
+    product = build(da.algebra, db.algebra)
     results = {
         "ring": _algebra_json(product),
         "dimension": product.dimension,
     }
     if args.verify_formula:
-        predicted = predicted_tensor_trace(da.algebra, db.algebra, product)
+        predicted = predict(da.algebra, db.algebra, product)
         direct = diff_trace(product, product.dimension)
         results["predictedTopTrace"] = _ideal_strings(product, predicted)
         results["directTopTrace"] = _ideal_strings(product, direct)
         results["formulaHolds"] = ideal_equals(predicted, direct)
         results["nearlyRegular"] = is_nearly_regular(product)
     return {
-        "command": "tensor",
-        "inputs": {"ringA": _ring_json(da), "ringB": _ring_json(db),
-                   "verifyFormula": bool(args.verify_formula)},
-        "results": results,
-    }
-
-
-def _cmd_fiber(args) -> dict:
-    da = load_ring(args.ring_a)
-    db = load_ring(args.ring_b)
-    product = fiber_product(da.algebra, db.algebra)
-    results = {
-        "ring": _algebra_json(product),
-        "dimension": product.dimension,
-    }
-    if args.verify_formula:
-        predicted = predicted_fiber_trace(da.algebra, db.algebra, product)
-        direct = diff_trace(product, product.dimension)
-        results["predictedTopTrace"] = _ideal_strings(product, predicted)
-        results["directTopTrace"] = _ideal_strings(product, direct)
-        results["formulaHolds"] = ideal_equals(predicted, direct)
-        results["nearlyRegular"] = is_nearly_regular(product)
-    return {
-        "command": "fiber",
-        "inputs": {"ringA": _ring_json(da), "ringB": _ring_json(db),
+        "command": args.command,
+        "inputs": {"ringA": da.as_json(), "ringB": db.as_json(),
                    "verifyFormula": bool(args.verify_formula)},
         "results": results,
     }
@@ -239,7 +213,7 @@ def _cmd_veronese(args) -> dict:
     subring = veronese_algebra(description.algebra, args.degree)
     return {
         "command": "veronese",
-        "inputs": {"ring": _ring_json(description), "degree": args.degree},
+        "inputs": {"ring": description.as_json(), "degree": args.degree},
         "results": {
             "ring": _algebra_json(subring),
             "dimension": subring.dimension,
@@ -252,8 +226,8 @@ _COMMANDS = {
     "classify": _cmd_classify,
     "singular": _cmd_singular,
     "prank": _cmd_prank,
-    "tensor": _cmd_tensor,
-    "fiber": _cmd_fiber,
+    "tensor": functools.partial(_cmd_product, tensor_product, predicted_tensor_trace),
+    "fiber": functools.partial(_cmd_product, fiber_product, predicted_fiber_trace),
     "sr": _cmd_sr,
     "veronese": _cmd_veronese,
 }
@@ -369,17 +343,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prank", parents=[common], help="polynomial rank")
     p.add_argument("--ring", required=True, metavar="FILE")
 
-    p = sub.add_parser("tensor", parents=[common], help="tensor product of two rings")
-    p.add_argument("ring_a", metavar="A")
-    p.add_argument("ring_b", metavar="B")
-    p.add_argument("--verify-formula", action="store_true",
-                   help="check the predicted top trace against the direct one")
-
-    p = sub.add_parser("fiber", parents=[common], help="fiber product of two rings")
-    p.add_argument("ring_a", metavar="A")
-    p.add_argument("ring_b", metavar="B")
-    p.add_argument("--verify-formula", action="store_true",
-                   help="check the predicted top trace against the direct one")
+    for name in ("tensor", "fiber"):
+        p = sub.add_parser(name, parents=[common], help=f"{name} product of two rings")
+        p.add_argument("ring_a", metavar="A")
+        p.add_argument("ring_b", metavar="B")
+        p.add_argument("--verify-formula", action="store_true",
+                       help="check the predicted top trace against the direct one")
 
     p = sub.add_parser("sr", parents=[common],
                        help="Stanley-Reisner ring of a simplicial complex")

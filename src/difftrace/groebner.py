@@ -539,14 +539,7 @@ def ideal_intersection(I: IdealHandle, J: IdealHandle) -> IdealHandle:
     one = Polynomial.one(ext)
     gens = [t * _lift(f, ext, positions) for f in I.gens]
     gens += [(one - t) * _lift(g, ext, positions) for g in J.gens]
-    inner = IdealHandle(ext, gens)
-    eliminated = eliminate(inner, 1)
-    if eliminated.sig != sig:
-        eliminated = IdealHandle(sig, [_lift(g, sig, list(range(sig.nvars)))
-                                       for g in eliminated.gens], I.order)
-    else:
-        eliminated = IdealHandle(sig, eliminated.gens, I.order)
-    return eliminated
+    return IdealHandle(sig, eliminate(IdealHandle(ext, gens), 1).gens, I.order)
 
 
 def radical_membership(p: Polynomial, I: IdealHandle) -> bool:

@@ -289,14 +289,8 @@ def kernel_columns(P: ModulePresentation) -> list[Column]:
     Each column corresponds to a homomorphism from the presented module to
     the ring, evaluated on the target generators.
     """
-    algebra = P.algebra
-    m = P.target_rank
-    if m == 0:
-        return []
-    if not P.columns:
-        return [_unit_column(algebra.sig, m, j) for j in range(m)]
-    transposed_rows = list(P.columns)  # row j of B is the j-th relation column
-    return syzygies(transposed_rows, algebra, width=m)
+    # row j of the transposed matrix is the j-th relation column
+    return syzygies(P.columns, P.algebra, width=P.target_rank)
 
 
 def trace_ideal(P: ModulePresentation) -> IdealHandle:

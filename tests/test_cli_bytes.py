@@ -6,8 +6,9 @@ before the module Groebner engine lost its syzygy tag columns and its
 all-pairs bookkeeping, so the test pins down that engine rewrites change no
 answer.  The calls on the ring files with fractional coefficients under
 `tests/data/rings/` were stored before the reduction loops moved to integer
-coefficients.  To write the file again from the code on the path (only from code
-whose output is trusted):
+coefficients, and the fiber products in more than 4 variables before the
+tensor and fiber commands shared one body.  To write the file again from the
+code on the path (only from code whose output is trusted):
 
     PYTHONPATH=src python tests/test_cli_bytes.py
 """
@@ -27,7 +28,6 @@ import pytest
 
 from conftest import RING_FILES
 from difftrace.cli import main
-from difftrace.ringfile import load_ring
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).resolve().parent / "data" / "cli_bytes.json"
@@ -36,17 +36,10 @@ RINGS = [p.stem for p in RING_FILES]
 RATIONAL_RINGS = sorted(
     (Path(__file__).resolve().parent / "data" / "rings").glob("*.ring"))
 SR_FACETS = ("1 2; 3 4", "1 2; 2 3", "1 2 3; 4", "1 2; 2 3; 3 1")
-# fiber products in more variables took 1-30 s a call before the rewrite
-FIBER_MAX_VARS = 4
-FIBER_EXTRA = (("node", "quadric"),)
 
 
 def _ring(stem: str) -> str:
     return f"rings/{stem}.ring"
-
-
-def _nvars(stem: str) -> int:
-    return load_ring(str(ROOT / _ring(stem))).algebra.nvars
 
 
 def calls() -> list[list[str]]:
@@ -60,8 +53,7 @@ def calls() -> list[list[str]]:
     out += [["sr", "--facets", facets, "--verify-algebraic"] for facets in SR_FACETS]
     for a, b in itertools.combinations_with_replacement(RINGS, 2):
         out.append(["tensor", _ring(a), _ring(b), "--verify-formula"])
-        if _nvars(a) + _nvars(b) <= FIBER_MAX_VARS or (a, b) in FIBER_EXTRA:
-            out.append(["fiber", _ring(a), _ring(b), "--verify-formula"])
+        out.append(["fiber", _ring(a), _ring(b), "--verify-formula"])
     for path in RATIONAL_RINGS:
         ring = path.relative_to(ROOT).as_posix()
         out.append(["classify", "--ring", ring])
