@@ -8,8 +8,9 @@ integer coefficients over one common denominator, and forms Fractions only
 for the remainder or basis it returns.
 Monomial orders are weighted graded reverse lexicographic (the default
 everywhere) and a two-block elimination order used by
-eliminate/intersection.  Every reduction ticks a step budget so runaway
-computations surface as BudgetExceededError instead of hanging.
+eliminate/intersection.  Every S-pair taken for reduction and every
+reduction step ticks a step budget, so runaway computations surface as
+BudgetExceededError instead of hanging.
 """
 
 from __future__ import annotations
@@ -43,7 +44,12 @@ class BudgetExceededError(RuntimeError):
 
 
 class StepBudget:
-    """Counts reduction steps; tick() raises once the limit is exhausted."""
+    """Counts steps; tick() raises once the limit is exhausted.
+
+    A step is one S-pair taken for reduction, one reduction step, or one
+    row subtraction of the graded solver (graded.py).  A pair that a
+    criterion drops costs nothing.
+    """
 
     __slots__ = ("limit", "used")
 
@@ -298,72 +304,78 @@ def _groebner(elements: list[_Element], first_new: int, order: Order,
               budget: StepBudget) -> list[_Element]:
     """The reduced Groebner basis of the module the elements generate, as
     primitive elements in increasing lead order.  The first `first_new`
-    elements must already form a reduced basis: only pairs (i, j) with
-    j >= first_new are made, in the order a fresh call makes them.
+    elements must already form a reduced basis: they enter the pairing sets
+    with no pairs, so only pairs with a later element are made.
 
-    An ideal is the rank-1 module at position 0.  Pairs are processed in
-    ascending lcm order and only inside one lead position, as two elements
-    leading in different positions have no S-vector.  The chain criterion
-    drops a pair when a third lead in its position divides the lcm and
-    neither companion pair is pending.  The coprime-lead criterion holds
-    only when every element lies in position 0 alone, so only an ideal
-    gets it.
+    An ideal is the rank-1 module at position 0.  Pairs are made only inside
+    one lead position, as two elements leading in different positions have
+    no S-vector, and are taken in ascending (lcm, made) order.  Each element
+    is installed by the update of Gebauer and Moeller (J. Symbolic Comput.
+    6, 1988).  B: a pending pair is dropped when the new lead divides its
+    lcm and differs from both lcms with the new element.  M and F: of the
+    new pairs, one per minimal lcm is kept.  Elements whose lead the new
+    lead divides leave the pairing set and stay reducers.  The coprime-lead
+    criterion holds only when every element lies in position 0 alone, so
+    only an ideal gets it.  The budget is ticked once per pair taken for
+    reduction and once per reduction step; dropped pairs cost nothing.
     """
     keys = _Keys(order)
     ideal = all(ints.keys() == {0} for _, _, ints, _ in elements)
     basis: list[_Element] = []
     buckets: dict[int, list[_Element]] = {}
-    # basis indices by lead position, increasing
-    members: dict[int, list[int]] = {}
-
-    def install(element: _Element):
-        members.setdefault(element[0], []).append(len(basis))
-        basis.append(element)
-        buckets.setdefault(element[0], []).append(element)
-
-    for element in elements:
-        install(element)
-    pending: set[tuple[int, int]] = set()
+    # by lead position: the pairing set (indices of the elements no later
+    # lead divides) and the pending pairs {(i, j): lcm}
+    pairing: dict[int, list[int]] = {}
+    pending: dict[int, dict[tuple[int, int], Exponents]] = {}
     heap: list = []
     counter = itertools.count()
 
-    def push_pair(i: int, j: int):
-        lcm = mono_lcm(basis[i][1], basis[j][1])
-        heapq.heappush(heap, (keys[lcm], next(counter), i, j, lcm))
-        pending.add((i, j))
+    def install(element: _Element):
+        pos, lead = element[0], element[1]
+        new = len(basis)
+        basis.append(element)
+        buckets.setdefault(pos, []).append(element)
+        group = pairing.setdefault(pos, [])
+        queue = pending.setdefault(pos, {})
+        if new >= first_new:
+            # B on the pending pairs
+            for pair in [pair for pair, lcm in queue.items()
+                         if all(map(le, lead, lcm))
+                         and lcm != mono_lcm(basis[pair[0]][1], lead)
+                         and lcm != mono_lcm(basis[pair[1]][1], lead)]:
+                del queue[pair]
+            # M and F on the new pairs, then the coprime-lead criterion
+            kept: list[tuple[int, Exponents]] = []
+            for _, i, lcm in sorted((keys[lcm], i, lcm) for i in group
+                                    for lcm in (mono_lcm(basis[i][1], lead),)):
+                if not any(all(map(le, other, lcm)) for _, other in kept):
+                    kept.append((i, lcm))
+            for i, lcm in kept:
+                if not (ideal and lcm == mono_mul(basis[i][1], lead)):
+                    queue[i, new] = lcm
+                    heapq.heappush(heap, (keys[lcm], next(counter), i, new, lcm))
+            group[:] = [i for i in group if not all(map(le, lead, basis[i][1]))]
+        group.append(new)
 
-    for i, j in sorted(pair for group in members.values()
-                       for pair in itertools.combinations(group, 2)
-                       if pair[1] >= first_new):
-        push_pair(i, j)
+    for element in elements:
+        install(element)
 
     while heap:
         _, _, i, j, lcm = heapq.heappop(heap)
-        pending.discard((i, j))
-        budget.tick()
-        if ideal and lcm == mono_mul(basis[i][1], basis[j][1]):
+        if pending[basis[i][0]].pop((i, j), None) is None:
             continue
-        for k in members[basis[i][0]]:
-            if k in (i, j) or not mono_divides(basis[k][1], lcm):
-                continue
-            pik, pjk = (min(i, k), max(i, k)), (min(j, k), max(j, k))
-            if pik not in pending and pjk not in pending:
-                break
-        else:
-            remainder, _ = _reduce(_s_vector(basis[i], basis[j], lcm), 1, buckets,
-                                   keys, budget)
-            if remainder:
-                install(_element(_primitive(remainder), keys))
-                group = members[basis[-1][0]]
-                for t in group[:-1]:
-                    push_pair(t, group[-1])
+        budget.tick()
+        remainder, _ = _reduce(_s_vector(basis[i], basis[j], lcm), 1, buckets,
+                               keys, budget)
+        if remainder:
+            install(_element(_primitive(remainder), keys))
 
     # minimal leads, then tails in increasing lead order: every reducer a
-    # tail can see is final, so one sweep reaches the reduced basis
-    kept = [e for i, e in enumerate(basis)
-            if not any(j != i and mono_divides(basis[j][1], e[1])
-                       and (basis[j][1] != e[1] or j < i)
-                       for j in members[e[0]])]
+    # tail can see is final, so one sweep reaches the reduced basis.  Only
+    # an input can have a lead that an earlier lead of its pairing set divides.
+    kept = [basis[i] for group in pairing.values() for i in group
+            if not any(j != i and mono_divides(basis[j][1], basis[i][1])
+                       for j in group)]
     kept.sort(key=lambda e: (-e[0], keys[e[1]]))
     reducers: dict[int, list[_Element]] = {}
     for i, (_, _, ints, _) in enumerate(kept):
@@ -379,8 +391,9 @@ def buchberger(gens: Iterable[Polynomial], order: Order,
                budget: StepBudget | None = None) -> tuple[Polynomial, ...]:
     """The unique reduced Groebner basis of the ideal generated by gens.
 
-    Pairs are processed in ascending lcm order; the coprime-lead and chain
-    criteria prune useless pairs before any reduction work happens.
+    Pairs are taken in ascending lcm order; the pair updates of Gebauer
+    and Moeller and the coprime-lead criterion drop useless pairs before
+    any reduction work happens (see _groebner).
     """
     if budget is None:
         budget = current_budget()

@@ -98,9 +98,11 @@ def module_groebner(gens: Sequence[Vector], order: Order,
     """Reduced Groebner basis of the submodule generated by gens, under the
     position-over-term refinement of the given monomial order.
 
-    The chain criterion prunes pairs; the coprime-lead criterion is applied
-    only to a rank-1 module at position 0, which is an ideal, as it is not
-    valid for module pairs.
+    The pair updates of Gebauer and Moeller drop pairs (see
+    groebner._groebner); the coprime-lead criterion is applied only to a
+    rank-1 module at position 0, which is an ideal, as it is not valid for
+    module pairs.  Each S-vector taken for reduction and each reduction
+    step ticks the budget.
     """
     if budget is None:
         budget = current_budget()

@@ -12,8 +12,9 @@ of simplicial complexes has a reference here too: the canonical facet list
 under all vertex permutations, computed for every family.  So has division
 with remainder: the engine's reduction loop as it was on Fraction
 coefficients, which its integer loop must match remainder for remainder and
-step for step.  The S-polynomial of the Buchberger certificate lives here
-too, so the certificate shares no code with the engine it checks.
+step for step.  The S-polynomials and S-vectors of the Buchberger
+certificates live here too, so the certificates share no code with the
+engine they check.
 """
 
 from __future__ import annotations
@@ -404,12 +405,34 @@ def oracle_vector_reduce(vector: dict[int, Polynomial],
     return remainder, steps
 
 
-# -- S-polynomials ----------------------------------------------------------------
+# -- S-polynomials and S-vectors ----------------------------------------------------
+
+def _vector_lead(v: dict[int, Polynomial], key) -> tuple[int, Exps]:
+    pos = min(i for i, p in v.items() if not p.is_zero)
+    return pos, max(v[pos].terms, key=key)
+
+
+def oracle_s_vector(f: dict[int, Polynomial], g: dict[int, Polynomial],
+                    key) -> dict[int, Polynomial]:
+    """The S-vector of two vectors of polynomials that lead in one position,
+    with leading terms taken position over term and then under `key`.  Zero
+    components are left out."""
+    (pf, lf), (pg, lg) = _vector_lead(f, key), _vector_lead(g, key)
+    if pf != pg:
+        raise ValueError("vectors leading in different positions have no S-vector")
+    lcm = tuple(map(max, lf, lg))
+    left = tuple(a - b for a, b in zip(lcm, lf)), 1 / f[pf].terms[lf]
+    right = tuple(a - b for a, b in zip(lcm, lg)), 1 / g[pg].terms[lg]
+    sig = f[pf].sig
+    out = {}
+    for i in sorted(set(f) | set(g)):
+        comp = (f.get(i, Polynomial.zero(sig)).mul_monomial(*left)
+                - g.get(i, Polynomial.zero(sig)).mul_monomial(*right))
+        if not comp.is_zero:
+            out[i] = comp
+    return out
+
 
 def s_polynomial(f: Polynomial, g: Polynomial, key) -> Polynomial:
     """The S-polynomial of f and g, with leading terms taken under `key`."""
-    lf, lg = max(f.terms, key=key), max(g.terms, key=key)
-    lcm = tuple(map(max, lf, lg))
-    left = f.mul_monomial(tuple(a - b for a, b in zip(lcm, lf)), 1 / f.terms[lf])
-    right = g.mul_monomial(tuple(a - b for a, b in zip(lcm, lg)), 1 / g.terms[lg])
-    return left - right
+    return oracle_s_vector({0: f}, {0: g}, key).get(0, Polynomial.zero(f.sig))

@@ -5,12 +5,16 @@ The engine reduces on integers over one common denominator; the reference in
 make the same reductions: the same remainder, exactly, and the same number
 of steps.  Coefficients such as 3/4 and -7/2 and leading coefficients other
 than 1 make the integer loop rescale its vector and its reducers.  An ideal
-run as a rank-1 module must get the same basis in the same steps.
+run as a rank-1 module must get the same basis in the same steps.  The
+module bases the engine returns are certified by Buchberger's criterion
+with the reference alone: its S-vectors and its division.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
+from operator import le
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +28,7 @@ from difftrace.groebner import (
 )
 from difftrace.modsyz import Vector, module_groebner, vector_normal_form
 from difftrace.poly import Polynomial, RingSignature
-from oracles import oracle_vector_reduce
+from oracles import oracle_s_vector, oracle_vector_reduce
 
 XYZ = RingSignature.standard("x", "y", "z")
 ORDERS = (WeightedGrevlex(XYZ.weights), BlockOrder(XYZ.weights, 1))
@@ -41,8 +45,8 @@ def polynomials(max_terms: int = 4):
 
 
 @st.composite
-def vectors(draw, rank: int):
-    return {i: draw(polynomials(3)) for i in range(rank)
+def vectors(draw, rank: int, terms: int = 3):
+    return {i: draw(polynomials(terms)) for i in range(rank)
             if draw(st.booleans())}
 
 
@@ -104,6 +108,53 @@ class TestModuleReduction:
         r = vector_normal_form(Vector(XYZ, v), [Vector(XYZ, g) for g in gens],
                                order, budget)
         assert_matches_reference(r.comps, budget.used, v, gens, order)
+
+
+def assert_reduced_leads_and_certificate(gens, basis, order):
+    """Buchberger's criterion on the basis, and membership of every
+    generator, decided by the reference division; no lead divides another."""
+    comps = [g.comps for g in basis]
+    leads = []
+    for v in comps:
+        pos = min(v)
+        leads.append((pos, max(v[pos].terms, key=order.key)))
+    for (p, a), (q, b) in itertools.permutations(leads, 2):
+        assert not (p == q and all(map(le, a, b)))
+    for (f, (p, _)), (g, (q, _)) in itertools.combinations(zip(comps, leads), 2):
+        if p == q:
+            s = oracle_s_vector(f, g, order.key)
+            assert oracle_vector_reduce(s, comps, order.key)[0] == {}
+    for g in gens:
+        assert oracle_vector_reduce(g, comps, order.key)[0] == {}
+
+
+class TestModuleGroebnerCertificate:
+    @settings(max_examples=100)
+    @given(st.sampled_from(ORDERS), st.integers(2, 3), st.data())
+    def test_engine_basis_passes_the_reference_criterion(self, order, rank, data):
+        # two terms a component keep the kernel's integers small
+        gens = data.draw(st.lists(vectors(rank, 2), min_size=4, max_size=6))
+        basis = module_groebner([Vector(XYZ, g) for g in gens], order,
+                                StepBudget(10 ** 9))
+        assert_reduced_leads_and_certificate(gens, basis, order)
+
+    def test_duplicate_and_redundant_ideal_leads(self):
+        x = Polynomial.variable(XYZ, 0)
+        for order in ORDERS:
+            gens = [x, x ** 2, x]
+            basis = buchberger(gens, order)
+            assert basis == (x,)
+            assert_reduced_leads_and_certificate(
+                [{0: g} for g in gens], [Vector(XYZ, {0: g}) for g in basis], order)
+
+    def test_duplicate_module_leads(self):
+        # both lead with x in position 0; their S-vector is (0, 1)
+        x, one = Polynomial.variable(XYZ, 0), Polynomial.one(XYZ)
+        gens = [{0: x, 1: one}, {0: x}]
+        for order in ORDERS:
+            basis = module_groebner([Vector(XYZ, g) for g in gens], order)
+            assert [g.comps for g in basis] == [{0: x}, {1: one}]
+            assert_reduced_leads_and_certificate(gens, basis, order)
 
 
 class TestIdealAsRankOneModule:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import importlib.util
-import sys
 from pathlib import Path
 
 from conftest import RING_FILES
@@ -12,10 +11,9 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def load_script(name: str):
-    """Import scripts/<name>.py; registered first, as its dataclasses need."""
+    """Import scripts/<name>.py as a module, without running its main()."""
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
 

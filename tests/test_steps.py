@@ -4,9 +4,12 @@ Each computation runs on freshly loaded algebras under its own step budget;
 the budget's `used` count must equal the one stored in
 `tests/data/steps.json`.  A rewrite of the reduction loops that makes the
 same reductions leaves every count as it is; a change to pair selection,
-criteria or reducer choice shows here first.  The stored file was written
-before the reduction loops moved to integer coefficients.  To write it
-again from the code on the path (only from code whose counts are trusted):
+criteria or reducer choice shows here first.  A step is one S-pair taken
+for reduction, one reduction step or one row subtraction of the graded
+solver.  The stored file was written by the engine with the pair updates
+of Gebauer and Moeller.  To write it again from the code on the path (only
+from code whose counts are trusted), printing `name: old → new` for each
+computation:
 
     PYTHONPATH=src python tests/test_steps.py
 """
@@ -15,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -99,9 +101,10 @@ def test_step_count(name):
 
 
 if __name__ == "__main__":
+    old = _stored() if DATA.exists() else {}
     counts = {}
-    for name, run in computations().items():
+    for name, run in sorted(computations().items()):
         counts[name] = steps_of(run)
-        print(counts[name], name, file=sys.stderr, flush=True)
+        print(f"{name}: {old.get(name, '-')} → {counts[name]}", flush=True)
     DATA.write_text(json.dumps(counts, indent=1, sort_keys=True) + "\n",
                     encoding="utf-8")
