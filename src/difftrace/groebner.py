@@ -301,11 +301,19 @@ def _monic_polynomial(sig: RingSignature, element: _Element, order: Order) -> Po
 
 
 def _groebner(elements: list[_Element], first_new: int, order: Order,
-              budget: StepBudget) -> list[_Element]:
+              budget: StepBudget, first_kept: int = 0) -> list[_Element]:
     """The reduced Groebner basis of the module the elements generate, as
     primitive elements in increasing lead order.  The first `first_new`
     elements must already form a reduced basis: they enter the pairing sets
     with no pairs, so only pairs with a later element are made.
+
+    Only the elements leading at a position >= `first_kept` are made
+    minimal, reduced and returned; the rest serve as reducers while pairs
+    run and are then dropped.  The result is exactly the part of the
+    reduced basis that leads at those positions: under position over term,
+    an element leading at a position >= first_kept has terms only at such
+    positions, so only elements leading there can reduce it, and the
+    minimal-lead filter compares leads within one position.
 
     An ideal is the rank-1 module at position 0.  Pairs are made only inside
     one lead position, as two elements leading in different positions have
@@ -373,7 +381,8 @@ def _groebner(elements: list[_Element], first_new: int, order: Order,
     # minimal leads, then tails in increasing lead order: every reducer a
     # tail can see is final, so one sweep reaches the reduced basis.  Only
     # an input can have a lead that an earlier lead of its pairing set divides.
-    kept = [basis[i] for group in pairing.values() for i in group
+    kept = [basis[i] for pos, group in pairing.items() if pos >= first_kept
+            for i in group
             if not any(j != i and mono_divides(basis[j][1], basis[i][1])
                        for j in group)]
     kept.sort(key=lambda e: (-e[0], keys[e[1]]))

@@ -8,11 +8,15 @@ ring as Singular's `modulo` does: the module generated by the columns
 q coordinates in exactly the v with Bv in I*R^p, and a module Groebner basis
 under a position-over-term order eliminates the first p coordinates.
 
-Vectors in and out carry Fraction coefficients.  module_groebner runs the
-Buchberger engine of groebner.py, the one that ideals use as rank-1
-modules.  There a basis element is its primitive integer vector and every
-reduction runs in the integer kernel; Fractions are formed once, for the
-monic basis that is returned.
+syzygies builds that module on integers and runs it through the Buchberger
+engine of groebner.py, the one that ideals use as rank-1 modules.  The
+(f e_r, 0), for f in the reduced Groebner basis of I, already form a reduced
+basis of I*S^p, so they seed the engine and no pair among them is made; only
+the part of the basis leading in the last q coordinates, the kernel part, is
+made reduced, and Fractions are formed only for the kernel columns.
+module_groebner and vector_normal_form take and give Vectors with Fraction
+coefficients; inside, a basis element is its primitive integer vector and
+every reduction runs in the integer kernel.
 """
 
 from __future__ import annotations
@@ -28,15 +32,16 @@ from .groebner import (
     _Element,
     _IntVector,
     _Keys,
+    _element,
     _fractions,
     _groebner,
     _integers,
+    _poly_element,
     _primitive,
     _reduce,
     current_budget,
     default_order,
     leading_monomial,
-    normal_form_raw,
 )
 from .poly import Exponents, Polynomial, RingSignature
 from .rings import GradedAlgebra
@@ -121,11 +126,7 @@ def vector_normal_form(v: Vector, basis: Sequence[Vector], order: Order,
     order, whose leading term divides it."""
     if budget is None:
         budget = current_budget()
-    buckets: dict[int, list[_Element]] = {}
-    for g in basis:
-        if not g.is_zero:
-            element = _vector_element(g, order)
-            buckets.setdefault(element[0], []).append(element)
+    buckets = _buckets([_vector_element(g, order) for g in basis if not g.is_zero])
     vec, den = _integers({i: p.terms for i, p in v.comps.items()})
     remainder, den = _reduce(vec, den, buckets, _Keys(order), budget)
     return Vector(v.sig, {i: Polynomial._of(v.sig, _fractions(comp, den))
@@ -139,10 +140,14 @@ def syzygies(rows: Sequence[Sequence[Polynomial]], algebra: GradedAlgebra,
     """Generators of the kernel of the matrix over the quotient ring.
 
     The matrix is given by rows (p of them, each of length q); the result is a
-    list of length-q columns v with rows * v = 0 modulo the defining ideal.
-    The kernel is read off the basis elements that vanish in the first p
-    coordinates of the module generated by (B e_j, e_j) and (f e_r, 0), for
-    f in the defining Groebner basis and r < p.
+    list of distinct nonzero length-q columns v with rows * v = 0 modulo the
+    defining ideal I, with entries in normal form, sorted by their strings.
+    They are read off the module generated by (B e_j, e_j) and (f e_r, 0),
+    for f in the reduced Groebner basis of I and r < p.  The (f e_r, 0) seed
+    the engine as the reduced basis of I*S^p that they are; each (B e_j, e_j)
+    enters reduced against them.  The kernel columns are the elements of the
+    module's reduced basis that lead at a position >= p, and only those are
+    made reduced; their entries are then reduced modulo I.
     """
     sig = algebra.sig
     order = default_order(sig)
@@ -159,29 +164,50 @@ def syzygies(rows: Sequence[Sequence[Polynomial]], algebra: GradedAlgebra,
     if p == 0:
         return [_unit_column(sig, q, j) for j in range(q)]
 
-    defining = algebra.defining.groebner_basis
-    gens = []
+    budget = current_budget()
+    keys = _Keys(order)
+    block = _quotient_block(algebra, order, range(p))
+    buckets = _buckets(block)
+    one = Polynomial.one(sig).terms
+    elements = list(block)
     for j in range(q):
-        comps = {i: normal_form_raw(rows[i][j], defining, order)
-                 for i in range(p) if not rows[i][j].is_zero}
-        comps[p + j] = Polynomial.one(sig)
-        gens.append(Vector(sig, comps))
-    gens += [Vector(sig, {r: f}) for f in defining for r in range(p)]
+        comps = {i: rows[i][j].terms for i in range(p)}
+        comps[p + j] = one
+        vec, den = _integers(comps)
+        remainder, _ = _reduce(vec, den, buckets, keys, budget)
+        elements.append(_element(_primitive(remainder), keys))
+    kernel = _groebner(elements, len(block), order, budget, first_kept=p)
 
-    basis = module_groebner(gens, order)
-    zero = Polynomial.zero(sig)
-    seen: list[Column] = []
-    for g in basis:
-        if any(pos < p for pos in g.comps):
+    tags = _buckets(_quotient_block(algebra, order, range(p, p + q)))
+    columns: dict[tuple[str, ...], Column] = {}
+    for _, _, ints, lead in kernel:
+        remainder, den = _reduce({i: dict(comp) for i, comp in ints.items()}, lead,
+                                 tags, keys, budget)
+        if not remainder:
             continue
-        column = tuple(normal_form_raw(g.comps[p + j], defining, order)
-                       if p + j in g.comps else zero for j in range(q))
-        if all(e.is_zero for e in column):
-            continue
-        if column not in seen:
-            seen.append(column)
-    seen.sort(key=lambda col: tuple(str(e) for e in col))
-    return seen
+        column = tuple(Polynomial._of(sig, _fractions(remainder.get(p + j, {}), den))
+                       for j in range(q))
+        columns.setdefault(tuple(str(e) for e in column), column)
+    return [columns[key] for key in sorted(columns)]
+
+
+def _quotient_block(algebra: GradedAlgebra, order: Order,
+                    positions: range) -> list[_Element]:
+    """The (f e_r, 0), for f in the reduced Groebner basis of the defining
+    ideal and r in positions, ordered by position: a reduced basis of the
+    ideal times the free module on those positions.  Each f's integer map
+    is shared by its copies."""
+    elements = [_poly_element(f, order) for f in algebra.defining.groebner_basis]
+    return [(r, lm, {r: ints[0]}, lead) for r in positions
+            for _, lm, ints, lead in elements]
+
+
+def _buckets(elements: Sequence[_Element]) -> dict[int, list[_Element]]:
+    """Reducers by lead position, in list order."""
+    out: dict[int, list[_Element]] = {}
+    for element in elements:
+        out.setdefault(element[0], []).append(element)
+    return out
 
 
 def _unit_column(sig: RingSignature, q: int, j: int) -> Column:
@@ -194,14 +220,14 @@ def kernel_membership(column: Column, generators: Sequence[Column],
     """Whether a column lies in the span of the generators over the quotient."""
     sig = algebra.sig
     order = default_order(sig)
-    q = len(column)
+    budget = current_budget()
+    block = _quotient_block(algebra, order, range(len(column)))
     gens = [Vector(sig, dict(enumerate(c))) for c in generators]
-    for f in algebra.defining.gens:
-        for r in range(q):
-            gens.append(Vector(sig, {r: f}))
-    basis = module_groebner(gens, order)
-    target = Vector(sig, dict(enumerate(column)))
-    return vector_normal_form(target, basis, order).is_zero
+    elements = block + [_vector_element(g, order) for g in gens if not g.is_zero]
+    basis = _groebner(elements, len(block), order, budget)
+    vec, den = _integers({i: e.terms for i, e in enumerate(column)})
+    remainder, _ = _reduce(vec, den, _buckets(basis), _Keys(order), budget)
+    return not remainder
 
 
 # -- presentations --------------------------------------------------------------

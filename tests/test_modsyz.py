@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_ring, ring_powers, wedge_shifts
 from oracles import (
@@ -23,10 +25,11 @@ from difftrace.modsyz import (
     kernel_columns,
     kernel_membership,
     matrix_minors,
+    module_groebner,
     syzygies,
     trace_ideal,
 )
-from difftrace.groebner import default_order
+from difftrace.groebner import default_order, normal_form_raw
 from difftrace.poly import Polynomial, RingSignature, parse_many, parse_polynomial
 from difftrace.ringfile import load_ring
 from difftrace.traces import kaehler_presentation
@@ -99,6 +102,84 @@ class TestSyzygies:
         keys = [tuple(str(e) for e in col) for col in K]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
+
+
+# the rings of the differential test: one with an empty defining ideal, and
+# one whose listed generators are neither monic nor a Groebner basis.  Over
+# the conic the entries are kept homogeneous: on some inhomogeneous 2 x 3 and
+# 3 x 3 matrices there the engine's integer coefficients grow for seconds.
+DIFF_RINGS = (
+    make_ring(["x", "y"], [1, 1], ["x*y"]),
+    make_ring(["a", "b", "c"], [1, 1, 1], ["a*c - b^2"]),
+    make_ring(["x", "y"], [1, 1], []),
+    make_ring(["x", "y"], [1, 1], ["2*x^2 - 2*y^2", "x*y"]),
+)
+CONIC = DIFF_RINGS[1]
+
+
+def module_syzygies(rows, algebra, q):
+    """The kernel columns as Singular's `modulo` reads them: one module
+    Groebner basis of the (B e_j, e_j) and the (f e_r, 0), for f in the
+    listed generators, with no element given as a basis; the elements with
+    no component below p, each entry in normal form, without duplicates,
+    sorted by their strings."""
+    sig = algebra.sig
+    order = default_order(sig)
+    p = len(rows)
+    gens = [Vector(sig, {**{i: rows[i][j] for i in range(p)},
+                         p + j: Polynomial.one(sig)}) for j in range(q)]
+    gens += [Vector(sig, {r: f}) for f in algebra.defining.gens for r in range(p)]
+    defining = algebra.defining.groebner_basis
+    columns = []
+    for g in module_groebner(gens, order):
+        if any(pos < p for pos in g.comps):
+            continue
+        column = tuple(normal_form_raw(g.comps.get(p + j, Polynomial.zero(sig)),
+                                       defining, order) for j in range(q))
+        if any(not e.is_zero for e in column) and column not in columns:
+            columns.append(column)
+    return sorted(columns, key=lambda col: tuple(str(e) for e in col))
+
+
+@st.composite
+def small_matrices(draw):
+    """A ring of DIFF_RINGS and a p x q matrix over it, p and q in 1..3,
+    with entries of at most two terms, homogeneous only over the conic."""
+    algebra = draw(st.sampled_from(DIFF_RINGS))
+    sig = algebra.sig
+    term = st.tuples(st.tuples(*(st.integers(0, 2) for _ in range(sig.nvars))),
+                     st.sampled_from([Fraction(1), Fraction(-1), Fraction(2),
+                                      Fraction(-3, 2), Fraction(5, 3)]))
+    entry = st.lists(term, max_size=2).map(
+        lambda items: sum((Polynomial.monomial(sig, e, c) for e, c in items
+                           if algebra is not CONIC or sum(e) == sum(items[0][0])),
+                          Polynomial.zero(sig)))
+    p, q = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rows = [[draw(entry) for _ in range(q)] for _ in range(p)]
+    return algebra, rows, q
+
+
+class TestSyzygiesAgainstModuleBasis:
+    """syzygies seeds the engine with I*S^p and keeps only the kernel part;
+    it must give the columns, in order, of the plain module basis."""
+
+    @settings(max_examples=150)
+    @given(small_matrices())
+    def test_columns_equal_module_reference(self, case):
+        algebra, rows, q = case
+        assert syzygies(rows, algebra, width=q) == module_syzygies(rows, algebra, q)
+
+    @pytest.mark.parametrize("row, expected", [
+        (["y", "y"], [["0", "x"], ["0", "y^2"], ["1", "-1"]]),
+        (["x", "1"], [["1", "-x"]]),
+    ])
+    def test_over_unreduced_generators(self, row, expected):
+        """Over Q[x, y]/(2x^2 - 2y^2, xy), whose reduced basis adds y^3."""
+        algebra = DIFF_RINGS[3]
+        rows = [parse_many(row, algebra.sig)]
+        K = syzygies(rows, algebra)
+        assert K == module_syzygies(rows, algebra, 2)
+        assert [[str(e) for e in col] for col in K] == expected
 
 
 class TestKernelCompleteness:

@@ -6,10 +6,10 @@ the budget's `used` count must equal the one stored in
 same reductions leaves every count as it is; a change to pair selection,
 criteria or reducer choice shows here first.  A step is one S-pair taken
 for reduction, one reduction step or one row subtraction of the graded
-solver.  The stored file was written by the engine with the pair updates
-of Gebauer and Moeller.  To write it again from the code on the path (only
-from code whose counts are trusted), printing `name: old → new` for each
-computation:
+solver.  The stored file was written once `syzygies` seeded its module
+with the basis of I*S^p and reduced only the kernel part.  To write it
+again from the code on the path (only from code whose counts are trusted),
+printing `name: old → new` for each computation:
 
     PYTHONPATH=src python tests/test_steps.py
 """
