@@ -28,8 +28,6 @@ from .groebner import (
     ideal_equals,
     ideal_intersection,
     ideal_membership,
-    ideal_product,
-    ideal_sum,
     krull_dimension,
     minimalize_homogeneous,
     normal_form,
@@ -39,22 +37,16 @@ from .groebner import (
 from .rings import AssumptionError, GradedAlgebra, HomogeneityError
 from .modsyz import (
     ModulePresentation,
-    direct_sum,
     exterior_power_presentation,
     fitting_ideal,
     free_presentation,
     kernel_columns,
-    kernel_membership,
     matrix_minors,
     syzygies,
     trace_ideal,
 )
 from .traces import (
-    SliceWitness,
-    derivation_slice_witness,
     diff_trace,
-    euler_derivation_column,
-    is_isolated_singularity,
     is_nearly_regular,
     is_regular_via_trace,
     jacobian_matrix,

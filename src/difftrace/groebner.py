@@ -486,26 +486,6 @@ def ideal_contains(I: IdealHandle, J: IdealHandle) -> bool:
     return all(ideal_membership(g, I) for g in J.gens)
 
 
-def ideal_sum(I: IdealHandle, J: IdealHandle) -> IdealHandle:
-    _check_same_ambient(I, J)
-    seen = list(I.gens)
-    for g in J.gens:
-        if g not in seen:
-            seen.append(g)
-    return IdealHandle(I.sig, seen, I.order)
-
-
-def ideal_product(I: IdealHandle, J: IdealHandle) -> IdealHandle:
-    _check_same_ambient(I, J)
-    products = []
-    for f in I.gens:
-        for g in J.gens:
-            fg = f * g
-            if fg not in products:
-                products.append(fg)
-    return IdealHandle(I.sig, products, I.order)
-
-
 def _fresh_name(sig: RingSignature, stem: str = "t") -> str:
     if stem not in sig.names:
         return stem

@@ -215,21 +215,6 @@ def _unit_column(sig: RingSignature, q: int, j: int) -> Column:
                  for i in range(q))
 
 
-def kernel_membership(column: Column, generators: Sequence[Column],
-                      algebra: GradedAlgebra) -> bool:
-    """Whether a column lies in the span of the generators over the quotient."""
-    sig = algebra.sig
-    order = default_order(sig)
-    budget = current_budget()
-    block = _quotient_block(algebra, order, range(len(column)))
-    gens = [Vector(sig, dict(enumerate(c))) for c in generators]
-    elements = block + [_vector_element(g, order) for g in gens if not g.is_zero]
-    basis = _groebner(elements, len(block), order, budget)
-    vec, den = _integers({i: e.terms for i, e in enumerate(column)})
-    remainder, _ = _reduce(vec, den, _buckets(basis), _Keys(order), budget)
-    return not remainder
-
-
 # -- presentations --------------------------------------------------------------
 
 @dataclass
@@ -250,25 +235,9 @@ class ModulePresentation:
                 if entry.sig != self.algebra.sig:
                     raise ValueError("relation entry over a different signature")
 
-    @property
-    def is_zero_module(self) -> bool:
-        return self.target_rank == 0
-
 
 def free_presentation(algebra: GradedAlgebra, rank: int) -> ModulePresentation:
     return ModulePresentation(algebra, rank, ())
-
-
-def direct_sum(P: ModulePresentation, Q: ModulePresentation) -> ModulePresentation:
-    """Block-diagonal presentation of the direct sum."""
-    if P.algebra is not Q.algebra and P.algebra.sig != Q.algebra.sig:
-        raise ValueError("direct sum needs presentations over one algebra")
-    algebra = P.algebra
-    zero = Polynomial.zero(algebra.sig)
-    m1, m2 = P.target_rank, Q.target_rank
-    cols = [col + (zero,) * m2 for col in P.columns]
-    cols += [(zero,) * m1 + col for col in Q.columns]
-    return ModulePresentation(algebra, m1 + m2, tuple(cols))
 
 
 def exterior_power_presentation(P: ModulePresentation, k: int) -> ModulePresentation:
@@ -328,11 +297,8 @@ def trace_ideal(P: ModulePresentation) -> IdealHandle:
     relation matrix, lifted together with the defining ideal.
     """
     algebra = P.algebra
-    entries: list[Polynomial] = []
-    for col in kernel_columns(P):
-        for entry in col:
-            if not entry.is_zero and entry not in entries:
-                entries.append(entry)
+    entries = list(dict.fromkeys(entry for col in kernel_columns(P)
+                                 for entry in col if not entry.is_zero))
     order = default_order(algebra.sig)
     entries.sort(key=lambda g: (order.key(leading_monomial(g, order)), str(g)))
     return algebra.s_ideal(tuple(entries))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from operator import add, le, mul, neg, sub
+from operator import add, le, mul, neg
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Union
@@ -90,11 +90,6 @@ def mono_mul(a: Exponents, b: Exponents) -> Exponents:
 def mono_divides(a: Exponents, b: Exponents) -> bool:
     """Whether x^a divides x^b."""
     return all(map(le, a, b))
-
-
-def mono_div(a: Exponents, b: Exponents) -> Exponents:
-    """Exponents of x^a / x^b; caller guarantees divisibility."""
-    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a: Exponents, b: Exponents) -> Exponents:
@@ -177,10 +172,6 @@ class Polynomial:
         zero = (0,) * self.sig.nvars
         return not self.terms or set(self.terms) == {zero}
 
-    def constant_value(self) -> Fraction:
-        """Coefficient of the constant monomial."""
-        return self.terms.get((0,) * self.sig.nvars, Fraction(0))
-
     def is_homogeneous(self) -> bool:
         if not self.terms:
             return True
@@ -195,12 +186,6 @@ class Polynomial:
         if len(degs) > 1:
             return None
         return degs.pop()
-
-    def total_weighted_degree(self) -> int:
-        """Largest weighted degree among terms; zero is an error."""
-        if not self.terms:
-            raise ZeroPolynomialError("the zero polynomial has no degree")
-        return max(self.sig.degree_of(e) for e in self.terms)
 
     # -- arithmetic ------------------------------------------------------
 

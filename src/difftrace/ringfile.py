@@ -50,7 +50,7 @@ def _parse_vars(body: str, lineno: int) -> RingSignature:
             name, _, weight_text = item.partition("=")
             name = name.strip()
             weight_text = weight_text.strip()
-            if not weight_text.isdigit() or int(weight_text) < 1:
+            if not weight_text.isdecimal() or int(weight_text) < 1:
                 raise RingFileError(
                     f"line {lineno}: weight of {name!r} must be a positive integer")
             weight = int(weight_text)

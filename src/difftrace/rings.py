@@ -113,14 +113,8 @@ class GradedAlgebra:
         monomials first inside each degree.
         """
         order = default_order(self.sig)
-        reduced = []
-        for g in handle.gens:
-            r = self.reduce(g)
-            if r.is_zero:
-                continue
-            r = monic(r, order)
-            if r not in reduced:
-                reduced.append(r)
+        residues = (self.reduce(g) for g in handle.gens)
+        reduced = list(dict.fromkeys(monic(r, order) for r in residues if not r.is_zero))
         # degree ascending, then leading monomial descending under grevlex
         reduced.sort(key=lambda g: (g.homogeneous_degree() or 0,
                                     tuple(reversed(leading_monomial(g, order))),

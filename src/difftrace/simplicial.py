@@ -124,16 +124,6 @@ class SimplicialComplex:
     def is_connected(self) -> bool:
         return len(self.components) == 1
 
-    def link(self, face: Iterable[int]) -> "SimplicialComplex":
-        """The link: faces disjoint from `face` whose union with it is a face."""
-        f = frozenset(face)
-        if not self.is_face(f):
-            raise ValueError("link of a non-face")
-        candidates = [facet - f for facet in self.facets if f <= facet]
-        if not candidates or all(not c for c in candidates):
-            raise ValueError("the link is the void complex")
-        return SimplicialComplex.from_facets([c for c in candidates if c])
-
     def describe(self) -> str:
         inside = ", ".join(
             "{" + ",".join(str(v) for v in sorted(f)) + "}"

@@ -23,16 +23,13 @@ are decided on that piece by linear algebra over Q (`graded`).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .graded import trace_contains
-from .groebner import IdealHandle, normal_form, radical_membership
+from .groebner import IdealHandle, radical_membership
 from .modsyz import (
-    Column,
     ModulePresentation,
     exterior_power_presentation,
     fitting_ideal,
-    kernel_columns,
     trace_ideal,
 )
 from .poly import Polynomial
@@ -149,63 +146,3 @@ def radical_equal(I: IdealHandle, J: IdealHandle) -> bool:
         raise ValueError("radical comparison needs one ambient signature")
     return (all(radical_membership(g, J) for g in I.gens)
             and all(radical_membership(g, I) for g in J.gens))
-
-
-def is_isolated_singularity(S: GradedAlgebra) -> bool:
-    """Whether the top trace has radical containing the maximal ideal.
-
-    Flags as for the singular-locus reading; a regular ring counts as having
-    an isolated singularity at the irrelevant maximal ideal.
-    """
-    top = singular_locus_trace(S)
-    return all(radical_membership(x, top) for x in S.variables())
-
-
-@dataclass
-class SliceWitness:
-    """A derivation D and slice t with D(t) = 1, certifying a free summand."""
-
-    images: Column
-    variable_index: int
-    slice: Polynomial
-
-
-def derivation_slice_witness(S: GradedAlgebra) -> SliceWitness | None:
-    """A derivation/slice pair witnessing trace(Omega^1) = S, if one exists.
-
-    Kernel columns of the transposed Jacobian are derivations of S; a column
-    with a unit entry at position i gives D with D(x_i) a unit, and the
-    normalized slice t = x_i / D(x_i) satisfies D(t) = 1 modulo the defining
-    ideal.  Returns None when the first trace is proper.
-    """
-    if not diff_trace(S, 1).is_trivial:
-        return None
-    omega = kaehler_presentation(S)
-    for column in kernel_columns(omega):
-        reduced = tuple(S.reduce(entry) for entry in column)
-        for i, entry in enumerate(reduced):
-            value = entry.constant_value()
-            if entry.is_constant() and value != 0:
-                slice_poly = Polynomial.variable(S.sig, i).scale(1 / value)
-                _verify_slice(S, reduced, slice_poly)
-                return SliceWitness(reduced, i, slice_poly)
-    raise RuntimeError("trace(Omega^1) is trivial but no unit entry was found")
-
-
-def _verify_slice(S: GradedAlgebra, images: Column, slice_poly: Polynomial):
-    applied = Polynomial.zero(S.sig)
-    for i, image in enumerate(images):
-        applied = applied + image * slice_poly.partial_derivative(i)
-    if not normal_form(applied - S.one(), S.defining).is_zero:
-        raise RuntimeError("slice verification failed: D(t) is not 1 modulo I")
-
-
-def euler_derivation_column(S: GradedAlgebra) -> Column:
-    """The weighted Euler derivation (w_1 x_1, ..., w_n x_n).
-
-    Always a kernel column of the transposed Jacobian for homogeneous ideals,
-    which is why every variable lies in the first trace.
-    """
-    return tuple(Polynomial.variable(S.sig, i).scale(S.sig.weights[i])
-                 for i in range(S.nvars))
-

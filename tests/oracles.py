@@ -5,16 +5,17 @@ degree by degree: the degree-d slice of (g_1, ..., g_s) is spanned by the
 products m * g_i with deg(m * g_i) = d, so plain Gaussian elimination over
 Fraction settles the question exactly.  The same slices give each graded
 piece R_d of a quotient R = Q[x]/I as a Q-vector space, and so the graded
-pieces of a kernel over R as the solutions of a finite linear system, and
-the entries of those solutions as the graded pieces of a trace ideal.
-Nothing here touches the Groebner engine, which is the point.  The census
-of simplicial complexes has a reference here too: the canonical facet list
-under all vertex permutations, computed for every family.  So has division
-with remainder: the engine's reduction loop as it was on Fraction
-coefficients, which its integer loop must match remainder for remainder and
-step for step.  The S-polynomials and S-vectors of the Buchberger
-certificates live here too, so the certificates share no code with the
-engine they check.
+pieces of a kernel over R as the solutions of a finite linear system, the
+entries of those solutions as the graded pieces of a trace ideal, and the
+graded pieces of the R-span of given columns, so whether a column lies in
+that span.  Nothing here touches the Groebner engine, which is the point.
+The census of simplicial complexes has a reference here too: the canonical
+facet list under all vertex permutations, computed for every family.  So
+has division with remainder: the engine's reduction loop as it was on
+Fraction coefficients, which its integer loop must match remainder for
+remainder and step for step.  The S-polynomials and S-vectors of the
+Buchberger certificates live here too, so the certificates share no code
+with the engine they check.
 """
 
 from __future__ import annotations
@@ -282,6 +283,29 @@ def oracle_span_dimension(generators, shifts, quotient: QuotientSlices,
                     row.update(((t, e), c) for e, c in reduced.items())
             rows.append(row)
     return _rank(rows)
+
+
+def oracle_in_span(column, generators, shifts, quotient: QuotientSlices) -> bool:
+    """Whether a column lies in the R-span of homogeneous columns.
+
+    The column splits into homogeneous components, entry t of degree
+    delta + shifts[t]; the span is graded, so the column lies in it exactly
+    when each component does, that is, when adding the component to the
+    generators leaves the span's dimension in degree delta unchanged.
+    """
+    sig = quotient.sig
+    components: dict[int, list[Row]] = {}
+    for t, (entry, shift) in enumerate(zip(column, shifts)):
+        for exps, coef in entry.terms.items():
+            parts = components.setdefault(sig.degree_of(exps) - shift,
+                                          [{} for _ in shifts])
+            parts[t][exps] = coef
+    generators = list(generators)
+    return all(
+        oracle_span_dimension(generators + [tuple(Polynomial(sig, p) for p in parts)],
+                              shifts, quotient, delta)
+        == oracle_span_dimension(generators, shifts, quotient, delta)
+        for delta, parts in components.items())
 
 
 def oracle_in_kernel(column, relations, gens, sig: RingSignature) -> bool:

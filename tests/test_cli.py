@@ -199,6 +199,14 @@ class TestExitCodes:
         assert out == ""
         assert "error" in err
 
+    def test_superscript_weight_is_parse_error(self, tmp_path, capsys):
+        p = tmp_path / "superscript.ring"
+        p.write_text("vars: x=\u00b2, y\n", encoding="utf-8")
+        code, out, err = run_json(["classify", "--ring", str(p)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "positive integer" in err
+
     def test_missing_file_is_parse_error(self, tmp_path, capsys):
         code, out, _ = run_json(
             ["classify", "--ring", str(tmp_path / "absent.ring")], capsys)

@@ -19,8 +19,6 @@ from difftrace.groebner import (
     ideal_equals,
     ideal_intersection,
     ideal_membership,
-    ideal_product,
-    ideal_sum,
     krull_dimension,
     leading_monomial,
     minimalize_homogeneous,
@@ -172,13 +170,18 @@ class TestSumProductIntersection:
     def test_product_inside_intersection(self):
         I = handle(["x + y"], XY)
         J = handle(["x - y"], XY)
-        prod = ideal_product(I, J)
-        assert ideal_contains(ideal_intersection(I, J), prod)
+        prod = IdealHandle(XY, [f * g for f in I.gens for g in J.gens],
+                           default_order(XY))
+        meet = ideal_intersection(I, J)
+        assert ideal_contains(meet, prod)
+        # coprime principal ideals: the intersection is the product
+        assert ideal_equals(meet, prod)
 
     def test_sum(self):
-        I = handle(["x"], XY)
-        J = handle(["y"], XY)
-        assert ideal_equals(ideal_sum(I, J), handle(["x", "y"], XY))
+        I = handle(["x + y"], XY)
+        J = handle(["x - y"], XY)
+        total = IdealHandle(XY, I.gens + J.gens, default_order(XY))
+        assert ideal_equals(total, handle(["x", "y"], XY))
 
 
 class TestElimination:

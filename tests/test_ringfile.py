@@ -33,6 +33,11 @@ class TestParsing:
         desc = loads_ring("vars: a=2, b=3, c\nideal: a^3 - b^2")
         assert desc.algebra.sig.weights == (2, 3, 1)
 
+    def test_weight_in_any_decimal_script(self):
+        # int() reads every Unicode decimal digit, here an Arabic-Indic three
+        desc = loads_ring("vars: x=\u0663, y")
+        assert desc.algebra.sig.weights == (3, 1)
+
     def test_comments_and_blank_lines(self):
         text = "\n# header\nvars: x # trailing\n\nideal: \n"
         desc = loads_ring(text)
@@ -63,6 +68,8 @@ class TestErrors:
         ("vars: x,,y", "line 1: empty variable entry"),
         ("vars: x=0", "must be a positive integer"),
         ("vars: x=fast", "must be a positive integer"),
+        # a digit that int() does not read, such as a superscript two
+        ("vars: x=\u00b2, y", "line 1: weight of 'x' must be a positive integer"),
         ("vars: 2x", "line 1"),
         ("vars: x\nideal: x+, y", "line 2: bad polynomial"),
         ("vars: x\nideal: x, , x^2", "line 2: empty ideal entry"),

@@ -97,20 +97,6 @@ class TestComponentsAndLinks:
         assert C("1 2; 2 3").is_connected
         assert not C("1 2; 3").is_connected
 
-    def test_link_of_vertex_in_path(self):
-        link = C("1 2; 2 3").link([2])
-        assert link.facets == frozenset({frozenset({1}), frozenset({3})})
-
-    def test_link_of_edge_in_tetrahedron(self):
-        link = C("1 2 3 4").link([1, 2])
-        assert link.facets == frozenset({frozenset({3, 4})})
-
-    def test_link_errors(self):
-        path = C("1 2; 2 3")
-        with pytest.raises(ValueError):
-            path.link([1, 3])  # not a face
-        with pytest.raises(ValueError):
-            path.link([1, 2])  # nothing left over: void link
 
 
 class TestParsing:

@@ -16,18 +16,16 @@ from difftrace.groebner import (
     ideal_membership,
     krull_dimension,
     normal_form,
+    radical_membership,
     step_budget,
 )
-from difftrace.modsyz import exterior_power_presentation
+from difftrace.modsyz import exterior_power_presentation, kernel_columns
 from difftrace.poly import Polynomial, parse_polynomial
 from difftrace.ringfile import load_ring
 from difftrace.rings import AssumptionError
 from difftrace.simplicial import iso_classes, parse_facets, stanley_reisner_algebra
 from difftrace.traces import (
-    derivation_slice_witness,
     diff_trace,
-    euler_derivation_column,
-    is_isolated_singularity,
     is_nearly_regular,
     is_regular_via_trace,
     jacobian_matrix,
@@ -117,7 +115,9 @@ class TestEulerContainment:
     def test_euler_column_lies_in_kernel(self, corpus):
         for entry in corpus.values():
             S = entry.algebra
-            column = euler_derivation_column(S)
+            # the weighted Euler derivation (w_1 x_1, ..., w_n x_n)
+            column = [Polynomial.variable(S.sig, i).scale(S.sig.weights[i])
+                      for i in range(S.nvars)]
             P = kaehler_presentation(S)
             for rel in P.columns:
                 acc = Polynomial.zero(S.sig)
@@ -255,44 +255,67 @@ class TestSingularLocus:
         )
 
     def test_isolated_singularities(self, corpus):
-        assert is_isolated_singularity(corpus["fermat"].algebra)
-        assert is_isolated_singularity(corpus["conic"].algebra)
-        assert is_isolated_singularity(corpus["node"].algebra)
-        assert not is_isolated_singularity(corpus["whitney"].algebra)
-        assert not is_isolated_singularity(corpus["plane-pair"].algebra)
+        # isolated: the radical of the top trace holds every variable
+        def isolated(S):
+            top = singular_locus_trace(S)
+            return all(radical_membership(x, top) for x in S.variables())
+
+        assert isolated(corpus["fermat"].algebra)
+        assert isolated(corpus["conic"].algebra)
+        assert isolated(corpus["node"].algebra)
+        assert not isolated(corpus["whitney"].algebra)
+        assert not isolated(corpus["plane-pair"].algebra)
 
 
 class TestSliceWitness:
+    """A kernel column of the transposed Jacobian is a derivation D of S.
+
+    An entry D(x_i) = c that is a nonzero constant gives the slice
+    t = x_i / c with D(t) = 1, a certificate that the polynomial rank is
+    positive, found without `polynomial_rank`.
+    """
+
+    @staticmethod
+    def _witness(S):
+        for column in kernel_columns(kaehler_presentation(S)):
+            images = [S.reduce(entry) for entry in column]
+            for i, entry in enumerate(images):
+                if entry.terms and entry.is_constant():
+                    (value,) = entry.terms.values()
+                    return images, i, Polynomial.variable(S.sig, i).scale(1 / value)
+        return None
+
     def _verify(self, S, witness):
         # the induced derivation must send the slice to 1 in the quotient
+        images, _, slice_poly = witness
         acc = Polynomial.zero(S.sig)
-        for i, image in enumerate(witness.images):
-            acc = acc + image * witness.slice.partial_derivative(i)
+        for i, image in enumerate(images):
+            acc = acc + image * slice_poly.partial_derivative(i)
         assert S.reduce(acc - S.one()).is_zero
 
     def test_polynomial_ring(self, corpus):
         S = corpus["space"].algebra
-        w = derivation_slice_witness(S)
+        w = self._witness(S)
         assert w is not None
-        assert w.variable_index == 0
-        assert str(w.slice) == "x"
+        assert w[1] == 0
+        assert str(w[2]) == "x"
         self._verify(S, w)
 
     def test_cylinder(self, corpus):
         S = corpus["node-cylinder"].algebra
-        w = derivation_slice_witness(S)
+        w = self._witness(S)
         assert w is not None
-        assert str(w.slice) == "t"
+        assert str(w[2]) == "t"
         self._verify(S, w)
 
     def test_none_when_rank_zero(self, corpus):
-        assert derivation_slice_witness(corpus["node"].algebra) is None
-        assert derivation_slice_witness(corpus["cross"].algebra) is None
+        assert self._witness(corpus["node"].algebra) is None
+        assert self._witness(corpus["cross"].algebra) is None
 
     def test_witness_exactly_when_positive_rank(self, corpus):
         for entry in corpus.values():
             S = entry.algebra
-            w = derivation_slice_witness(S)
+            w = self._witness(S)
             assert (w is not None) == (polynomial_rank(S) >= 1), entry.name
             if w is not None:
                 self._verify(S, w)
