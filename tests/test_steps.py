@@ -23,7 +23,12 @@ from pathlib import Path
 import pytest
 
 from conftest import RING_FILES
-from difftrace.constructions import predicted_tensor_trace, tensor_product
+from difftrace.constructions import (
+    fiber_product,
+    predicted_fiber_trace,
+    predicted_tensor_trace,
+    tensor_product,
+)
 from difftrace.groebner import ideal_equals, step_budget
 from difftrace.ringfile import load_ring
 from difftrace.traces import (
@@ -39,6 +44,7 @@ DATA = Path(__file__).resolve().parent / "data" / "steps.json"
 ALL_RINGS = RING_FILES + sorted((ROOT / "tests" / "data" / "rings").glob("*.ring"))
 TENSOR_PAIRS = (("rings/node.ring", "rings/cusp.ring"),
                 ("rings/node.ring", "tests/data/rings/umbrella.ring"))
+FIBER_PAIRS = (("rings/node.ring", "rings/cusp.ring"),)
 
 
 def _load(path) -> object:
@@ -67,6 +73,19 @@ def _tensor(path_a, path_b):
     is_nearly_regular(product)
 
 
+def _fiber(path_a, path_b):
+    """The verification of `fiber --verify-formula`, with the printed
+    generators of both top traces."""
+    a, b = _load(path_a), _load(path_b)
+    product = fiber_product(a, b)
+    predicted = predicted_fiber_trace(a, b, product)
+    direct = diff_trace(product, product.dimension)
+    product.presented_generators(predicted)
+    product.presented_generators(direct)
+    ideal_equals(predicted, direct)
+    is_nearly_regular(product)
+
+
 def computations() -> dict[str, object]:
     out = {}
     for path in ALL_RINGS:
@@ -77,6 +96,8 @@ def computations() -> dict[str, object]:
             out[f"cross-check {rel}"] = functools.partial(_cross_check, rel)
     for a, b in TENSOR_PAIRS:
         out[f"tensor {a} {b}"] = functools.partial(_tensor, a, b)
+    for a, b in FIBER_PAIRS:
+        out[f"fiber {a} {b}"] = functools.partial(_fiber, a, b)
     return out
 
 
