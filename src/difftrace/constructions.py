@@ -89,8 +89,10 @@ def predicted_tensor_trace(A: GradedAlgebra, B: GradedAlgebra,
     """Top trace of the tensor product, predicted from the factor traces.
 
     The product of the extended factor traces; equality with their
-    intersection is verified as an internal check.  Needs both factors of
-    positive dimension with both flags asserted.
+    intersection is verified as an internal check.  Only the traces' own
+    entries are multiplied: a product with a defining generator lies in the
+    defining ideal of R, which the returned handle holds anyway.  Needs both
+    factors of positive dimension with both flags asserted.
     """
     for factor in (A, B):
         factor.require_reduced("predicted_tensor_trace")
@@ -103,7 +105,9 @@ def predicted_tensor_trace(A: GradedAlgebra, B: GradedAlgebra,
     _, pos_a, pos_b = _merged_signature(A, B)
     ta = extend_scalars(diff_trace(A, A.dimension), R, pos_a)
     tb = extend_scalars(diff_trace(B, B.dimension), R, pos_b)
-    products = [f * g for f in ta.gens for g in tb.gens]
+    defining = set(R.defining.gens)
+    products = [f * g for f in ta.gens if f not in defining
+                for g in tb.gens if g not in defining]
     product_handle = R.s_ideal(tuple(dict.fromkeys(products)))
     intersection = ideal_intersection(ta, tb)
     if not ideal_equals(product_handle, intersection):

@@ -48,7 +48,8 @@ class StepBudget:
 
     A step is one S-pair taken for reduction, one reduction step, or one
     row subtraction of the graded solver (graded.py).  A pair that a
-    criterion drops costs nothing.
+    criterion drops costs nothing, and so does a pair above the degree that
+    a minimalization needs (minimalize_homogeneous): it is never taken.
     """
 
     __slots__ = ("limit", "used")
@@ -301,7 +302,8 @@ def _monic_polynomial(sig: RingSignature, element: _Element, order: Order) -> Po
 
 
 def _groebner(elements: list[_Element], first_new: int, order: Order,
-              budget: StepBudget, first_kept: int = 0) -> list[_Element]:
+              budget: StepBudget, first_kept: int = 0,
+              max_degree: int | None = None) -> list[_Element]:
     """The reduced Groebner basis of the module the elements generate, as
     primitive elements in increasing lead order.  The first `first_new`
     elements must already form a reduced basis: they enter the pairing sets
@@ -314,6 +316,12 @@ def _groebner(elements: list[_Element], first_new: int, order: Order,
     an element leading at a position >= first_kept has terms only at such
     positions, so only elements leading there can reduce it, and the
     minimal-lead filter compares leads within one position.
+
+    With `max_degree`, no pair whose lcm has weighted degree above it is
+    taken, and the result is a truncated basis: it decides membership of
+    every homogeneous element up to that degree, and seeds a later call with
+    the same bound.  This holds only for homogeneous elements under
+    WeightedGrevlex, whose keys order pairs by degree first.
 
     An ideal is the rank-1 module at position 0.  Pairs are made only inside
     one lead position, as two elements leading in different positions have
@@ -369,7 +377,9 @@ def _groebner(elements: list[_Element], first_new: int, order: Order,
         install(element)
 
     while heap:
-        _, _, i, j, lcm = heapq.heappop(heap)
+        key, _, i, j, lcm = heapq.heappop(heap)
+        if max_degree is not None and key[0] > max_degree:
+            break
         if pending[basis[i][0]].pop((i, j), None) is None:
             continue
         budget.tick()
@@ -410,25 +420,35 @@ def buchberger(gens: Iterable[Polynomial], order: Order,
 
 
 def _buchberger(basis: list[Polynomial], first_new: int, order: Order,
-                budget: StepBudget) -> tuple[Polynomial, ...]:
+                budget: StepBudget, max_degree: int | None = None
+                ) -> tuple[Polynomial, ...]:
     """Buchberger on a basis whose first `first_new` elements already form
-    a reduced Groebner basis (see _groebner)."""
+    a reduced Groebner basis, truncated at `max_degree` (see _groebner)."""
     if not basis:
         return ()
     elements = [_poly_element(g, order) for g in basis]
     return tuple(_monic_polynomial(basis[0].sig, e, order)
-                 for e in _groebner(elements, first_new, order, budget))
+                 for e in _groebner(elements, first_new, order, budget,
+                                    max_degree=max_degree))
 
 
 # -- ideal handles and operations ---------------------------------------------
 
 class IdealHandle:
-    """An ideal of a polynomial ring: generators plus a cached reduced basis."""
+    """An ideal of a polynomial ring: generators plus a cached reduced basis.
 
-    __slots__ = ("sig", "gens", "order", "__dict__")
+    The basis is computed on first use, from the generators alone unless
+    the handle was made with a private `_base`: a handle under the same
+    order whose generators end this handle's.  Then the computation starts
+    from the base's cached reduced basis and makes no pair inside it.  A
+    function that already holds the reduced basis (`eliminate`,
+    `ideal_intersection`) stores it on the handle it returns.
+    """
+
+    __slots__ = ("sig", "gens", "order", "_base", "__dict__")
 
     def __init__(self, sig: RingSignature, gens: Iterable[Polynomial],
-                 order: Order | None = None):
+                 order: Order | None = None, *, _base: IdealHandle | None = None):
         self.sig = sig
         self.order = order if order is not None else default_order(sig)
         gen_list = []
@@ -437,11 +457,19 @@ class IdealHandle:
                 raise ValueError("generator signature does not match the handle")
             if not g.is_zero:
                 gen_list.append(g)
+        if _base is not None:
+            gen_list += _base.gens
         self.gens = tuple(gen_list)
+        self._base = _base
 
     @cached_property
     def groebner_basis(self) -> tuple[Polynomial, ...]:
-        return buchberger(self.gens, self.order)
+        if self._base is None:
+            return buchberger(self.gens, self.order)
+        seed = self._base.groebner_basis
+        own = self.gens[:len(self.gens) - len(self._base.gens)]
+        return _buchberger(list(seed) + list(own), len(seed), self.order,
+                           current_budget())
 
     @property
     def is_trivial(self) -> bool:
@@ -511,10 +539,12 @@ def _drop_front(p: Polynomial, k: int, target: RingSignature) -> Polynomial:
 
 
 def eliminate(I: IdealHandle, k: int) -> IdealHandle:
-    """Generators of the contraction of I to the last n-k variables.
+    """The contraction of I to the last n-k variables.
 
     Recomputes a basis under the two-block order that puts the k eliminated
-    variables first, then keeps the elements free of them.
+    variables first, then keeps the elements free of them.  These form the
+    reduced basis of the contraction under the default order of the last
+    n-k variables, so the returned handle holds them as its basis.
     """
     n = I.sig.nvars
     if not 0 < k < n:
@@ -527,11 +557,17 @@ def eliminate(I: IdealHandle, k: int) -> IdealHandle:
         for g in gb
         if all(all(e == 0 for e in exps[:k]) for exps in g.terms)
     ]
-    return IdealHandle(rest, kept)
+    handle = IdealHandle(rest, kept)
+    handle.groebner_basis = tuple(kept)  # fills the cached_property
+    return handle
 
 
 def ideal_intersection(I: IdealHandle, J: IdealHandle) -> IdealHandle:
-    """I intersect J, by eliminating t from t*I + (1-t)*J."""
+    """I intersect J, by eliminating t from t*I + (1-t)*J.
+
+    The elimination finds the reduced basis under the default order, so a
+    handle in that order comes back holding it.
+    """
     _check_same_ambient(I, J)
     sig = I.sig
     tname = _fresh_name(sig)
@@ -541,7 +577,11 @@ def ideal_intersection(I: IdealHandle, J: IdealHandle) -> IdealHandle:
     one = Polynomial.one(ext)
     gens = [t * _lift(f, ext, positions) for f in I.gens]
     gens += [(one - t) * _lift(g, ext, positions) for g in J.gens]
-    return IdealHandle(sig, eliminate(IdealHandle(ext, gens), 1).gens, I.order)
+    contraction = eliminate(IdealHandle(ext, gens), 1)
+    handle = IdealHandle(sig, contraction.gens, I.order)
+    if I.order == contraction.order:
+        handle.groebner_basis = contraction.groebner_basis
+    return handle
 
 
 def radical_membership(p: Polynomial, I: IdealHandle) -> bool:
@@ -582,24 +622,35 @@ def krull_dimension(I: IdealHandle) -> int:
 
 
 def minimalize_homogeneous(gens: Sequence[Polynomial], sig: RingSignature,
-                           modulo: Sequence[Polynomial] = ()) -> tuple[Polynomial, ...]:
+                           modulo: IdealHandle | None = None) -> tuple[Polynomial, ...]:
     """Greedy minimal generating subset of a homogeneous generator list.
 
     Scans by ascending weighted degree (ties keep input order) and keeps an
     element only if it is not in the ideal spanned by the kept ones together
-    with `modulo`.
+    with `modulo`, a homogeneous ideal under the default order of sig.
+
+    The scan starts from the cached reduced basis of `modulo`.  Each kept
+    element extends the basis with no pair whose lcm lies above the largest
+    candidate degree: such a pair cannot change a normal form in the degrees
+    scanned, so it is never taken.
     """
     order = default_order(sig)
     nonzero = [g for g in gens if not g.is_zero]
-    for g in nonzero:
+    if modulo is None:
+        modulo = IdealHandle(sig, ())
+    elif modulo.order != order:
+        raise ValueError("minimalize_homogeneous needs modulo in the default order")
+    for g in nonzero + list(modulo.gens):
         if not g.is_homogeneous():
             raise ValueError(f"minimalize_homogeneous needs homogeneous input, got {g}")
     ranked = sorted(nonzero, key=lambda g: g.homogeneous_degree())
+    top = ranked[-1].homogeneous_degree() if ranked else 0
     kept: list[Polynomial] = []
-    basis = buchberger(list(modulo), order)
+    basis = modulo.groebner_basis
     for g in ranked:
         if normal_form_raw(g, basis, order).is_zero:
             continue
         kept.append(g)
-        basis = _buchberger(list(basis) + [g], len(basis), order, current_budget())
+        basis = _buchberger(list(basis) + [g], len(basis), order,
+                            current_budget(), max_degree=top)
     return tuple(kept)

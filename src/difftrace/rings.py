@@ -90,8 +90,12 @@ class GradedAlgebra:
         return self.s_ideal(self.variables())
 
     def s_ideal(self, gens: Sequence[Polynomial]) -> IdealHandle:
-        """An ideal of the quotient, stored as its lift to the ambient ring."""
-        return IdealHandle(self.sig, tuple(gens) + self.defining.gens)
+        """An ideal of the quotient, stored as its lift to the ambient ring.
+
+        Its generators are gens followed by the defining generators, and its
+        basis is computed from the defining ideal's cached reduced basis.
+        """
+        return IdealHandle(self.sig, gens, _base=self.defining)
 
     def zero_ideal(self) -> IdealHandle:
         return self.s_ideal(())
@@ -119,7 +123,7 @@ class GradedAlgebra:
         reduced.sort(key=lambda g: (g.homogeneous_degree() or 0,
                                     tuple(reversed(leading_monomial(g, order))),
                                     str(g)))
-        return minimalize_homogeneous(reduced, self.sig, modulo=self.defining.gens)
+        return minimalize_homogeneous(reduced, self.sig, modulo=self.defining)
 
     def contains_maximal_ideal(self, handle: IdealHandle) -> bool:
         """Whether every variable lies in the ideal (so it contains m)."""

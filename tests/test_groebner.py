@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -290,7 +289,7 @@ class TestMinimalize:
         assert [str(g) for g in kept] == ["x", "y"]
 
     def test_modulo_ambient(self):
-        ambient = parse_many(["x*y"], XY)
+        ambient = IdealHandle(XY, parse_many(["x*y"], XY))
         gens = parse_many(["x^2*y", "x^3"], XY)
         kept = minimalize_homogeneous(gens, XY, modulo=ambient)
         assert [str(g) for g in kept] == ["x^3"]

@@ -6,10 +6,11 @@ the budget's `used` count must equal the one stored in
 same reductions leaves every count as it is; a change to pair selection,
 criteria or reducer choice shows here first.  A step is one S-pair taken
 for reduction, one reduction step or one row subtraction of the graded
-solver.  The stored file was written once `syzygies` seeded its module
-with the basis of I*S^p and reduced only the kernel part.  To write it
-again from the code on the path (only from code whose counts are trusted),
-printing `name: old → new` for each computation:
+solver.  The stored file was written once ideals of a quotient started
+from the defining ideal's cached basis, elimination handed its basis over,
+and minimalization took no pair above its largest candidate degree.  To
+write it again from the code on the path (only from code whose counts are
+trusted), printing `name: old → new` for each computation:
 
     PYTHONPATH=src python tests/test_steps.py
 """

@@ -14,7 +14,6 @@ from difftrace.groebner import (
     ideal_contains,
     ideal_equals,
     ideal_membership,
-    krull_dimension,
     normal_form,
     radical_membership,
     step_budget,
@@ -23,7 +22,7 @@ from difftrace.modsyz import exterior_power_presentation, kernel_columns
 from difftrace.poly import Polynomial, parse_polynomial
 from difftrace.ringfile import load_ring
 from difftrace.rings import AssumptionError
-from difftrace.simplicial import iso_classes, parse_facets, stanley_reisner_algebra
+from difftrace.simplicial import iso_classes, stanley_reisner_algebra
 from difftrace.traces import (
     diff_trace,
     is_nearly_regular,
@@ -38,7 +37,6 @@ from difftrace.traces import (
 from oracles import (
     QuotientSlices,
     oracle_ideal_equal,
-    oracle_membership,
     oracle_span_dimension,
     oracle_trace_dimension,
 )
