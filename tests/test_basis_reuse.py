@@ -42,13 +42,9 @@ UNREDUCED = make_ring(["x", "y"], [1, 1], ["2*x^2 - 2*y^2", "x*y"])
 RINGS = {"node": NODE, "conic": CONIC, "cusp": CUSP, "unreduced": UNREDUCED}
 
 
-def rings():
-    return st.sampled_from(sorted(RINGS)).map(RINGS.__getitem__)
-
-
 @st.composite
 def ring_and_polys(draw, homogeneous: bool):
-    ring = draw(rings())
+    ring = draw(st.sampled_from(list(RINGS.values())))
     element = (homogeneous_polynomials(sig=ring.sig, max_degree=4, max_terms=3)
                if homogeneous else polynomials_over(ring.sig, max_terms=3))
     return ring, draw(st.lists(element, min_size=1, max_size=4))
