@@ -81,7 +81,13 @@ def step_budget(limit: int):
 
 
 def current_budget() -> StepBudget:
-    """The ambient budget, or a fresh default-sized one per top-level call."""
+    """The ambient budget, or a fresh default-sized one.
+
+    Outside `step_budget`, each engine entry (each `buchberger`,
+    `groebner_basis`, `syzygies` or `trace_contains`) gets its own budget.
+    `step_budget` is the only way to bound or count a library computation
+    as a whole.
+    """
     budget = _budget_var.get()
     return budget if budget is not None else StepBudget()
 
@@ -145,7 +151,7 @@ def monic(p: Polynomial, order: Order) -> Polynomial:
 # is an _Element: (lead position, lead monomial, integer vector, lead
 # coefficient).  A reduction step is the same for every nonzero multiple of
 # a reducer, so each is kept as its primitive multiple: coprime integers,
-# made once and cached on the Polynomial or Vector.
+# made once and cached on the Polynomial.
 
 _IntVector = dict[int, dict[Exponents, int]]
 _Element = tuple[int, Exponents, _IntVector, int]
@@ -251,8 +257,8 @@ def _poly_element(g: Polynomial, order: Order) -> _Element:
     return 0, lm, {0: ints}, ints[lm]
 
 
-def normal_form_raw(p: Polynomial, basis: Sequence[Polynomial], order: Order,
-                    budget: StepBudget | None = None) -> Polynomial:
+def normal_form_raw(p: Polynomial, basis: Sequence[Polynomial],
+                    order: Order) -> Polynomial:
     """Full remainder of p under multivariate division by basis.
 
     No term of the result is divisible by any basis leading monomial.  Each
@@ -261,11 +267,9 @@ def normal_form_raw(p: Polynomial, basis: Sequence[Polynomial], order: Order,
     """
     if p.is_zero:
         return Polynomial._of(p.sig, {})
-    if budget is None:
-        budget = current_budget()
     bucket = [_poly_element(g, order) for g in basis if not g.is_zero]
     vec, den = _integers({0: p.terms})
-    remainder, den = _reduce(vec, den, {0: bucket}, _Keys(order), budget)
+    remainder, den = _reduce(vec, den, {0: bucket}, _Keys(order), current_budget())
     return Polynomial._of(p.sig, _fractions(remainder.get(0, {}), den))
 
 
@@ -406,29 +410,25 @@ def _groebner(elements: list[_Element], first_new: int, order: Order,
     return kept
 
 
-def buchberger(gens: Iterable[Polynomial], order: Order,
-               budget: StepBudget | None = None) -> tuple[Polynomial, ...]:
+def buchberger(gens: Iterable[Polynomial], order: Order) -> tuple[Polynomial, ...]:
     """The unique reduced Groebner basis of the ideal generated by gens.
 
     Pairs are taken in ascending lcm order; the pair updates of Gebauer
     and Moeller and the coprime-lead criterion drop useless pairs before
     any reduction work happens (see _groebner).
     """
-    if budget is None:
-        budget = current_budget()
-    return _buchberger([g for g in gens if not g.is_zero], 0, order, budget)
+    return _buchberger([g for g in gens if not g.is_zero], 0, order)
 
 
 def _buchberger(basis: list[Polynomial], first_new: int, order: Order,
-                budget: StepBudget, max_degree: int | None = None
-                ) -> tuple[Polynomial, ...]:
+                max_degree: int | None = None) -> tuple[Polynomial, ...]:
     """Buchberger on a basis whose first `first_new` elements already form
     a reduced Groebner basis, truncated at `max_degree` (see _groebner)."""
     if not basis:
         return ()
     elements = [_poly_element(g, order) for g in basis]
     return tuple(_monic_polynomial(basis[0].sig, e, order)
-                 for e in _groebner(elements, first_new, order, budget,
+                 for e in _groebner(elements, first_new, order, current_budget(),
                                     max_degree=max_degree))
 
 
@@ -438,19 +438,20 @@ class IdealHandle:
     """An ideal of a polynomial ring: generators plus a cached reduced basis.
 
     The basis is computed on first use, from the generators alone unless
-    the handle was made with a private `_base`: a handle under the same
-    order whose generators end this handle's.  Then the computation starts
-    from the base's cached reduced basis and makes no pair inside it.  A
-    function that already holds the reduced basis (`eliminate`,
-    `ideal_intersection`) stores it on the handle it returns.
+    the handle was made with a private `_base`: a handle whose generators
+    end this handle's.  Then the computation starts from the base's cached
+    reduced basis and makes no pair inside it.  A function that already
+    holds the reduced basis (`eliminate`, `ideal_intersection`) stores it on
+    the handle it returns.  Every handle lives in the default order of its
+    signature.
     """
 
     __slots__ = ("sig", "gens", "order", "_base", "__dict__")
 
-    def __init__(self, sig: RingSignature, gens: Iterable[Polynomial],
-                 order: Order | None = None, *, _base: IdealHandle | None = None):
+    def __init__(self, sig: RingSignature, gens: Iterable[Polynomial], *,
+                 _base: IdealHandle | None = None):
         self.sig = sig
-        self.order = order if order is not None else default_order(sig)
+        self.order = default_order(sig)
         gen_list = []
         for g in gens:
             if g.sig != sig:
@@ -468,8 +469,7 @@ class IdealHandle:
             return buchberger(self.gens, self.order)
         seed = self._base.groebner_basis
         own = self.gens[:len(self.gens) - len(self._base.gens)]
-        return _buchberger(list(seed) + list(own), len(seed), self.order,
-                           current_budget())
+        return _buchberger(list(seed) + list(own), len(seed), self.order)
 
     @property
     def is_trivial(self) -> bool:
@@ -503,8 +503,6 @@ def ideal_membership(p: Polynomial, I: IdealHandle) -> bool:
 def ideal_equals(I: IdealHandle, J: IdealHandle) -> bool:
     """Literal equality of ideals via their unique reduced bases."""
     _check_same_ambient(I, J)
-    if I.order != J.order:
-        return buchberger(I.gens, J.order) == J.groebner_basis
     return I.groebner_basis == J.groebner_basis
 
 
@@ -565,8 +563,7 @@ def eliminate(I: IdealHandle, k: int) -> IdealHandle:
 def ideal_intersection(I: IdealHandle, J: IdealHandle) -> IdealHandle:
     """I intersect J, by eliminating t from t*I + (1-t)*J.
 
-    The elimination finds the reduced basis under the default order, so a
-    handle in that order comes back holding it.
+    The handle comes back from the elimination holding its reduced basis.
     """
     _check_same_ambient(I, J)
     sig = I.sig
@@ -577,11 +574,7 @@ def ideal_intersection(I: IdealHandle, J: IdealHandle) -> IdealHandle:
     one = Polynomial.one(ext)
     gens = [t * _lift(f, ext, positions) for f in I.gens]
     gens += [(one - t) * _lift(g, ext, positions) for g in J.gens]
-    contraction = eliminate(IdealHandle(ext, gens), 1)
-    handle = IdealHandle(sig, contraction.gens, I.order)
-    if I.order == contraction.order:
-        handle.groebner_basis = contraction.groebner_basis
-    return handle
+    return eliminate(IdealHandle(ext, gens), 1)
 
 
 def radical_membership(p: Polynomial, I: IdealHandle) -> bool:
@@ -627,7 +620,7 @@ def minimalize_homogeneous(gens: Sequence[Polynomial], sig: RingSignature,
 
     Scans by ascending weighted degree (ties keep input order) and keeps an
     element only if it is not in the ideal spanned by the kept ones together
-    with `modulo`, a homogeneous ideal under the default order of sig.
+    with `modulo`, a homogeneous ideal.
 
     The scan starts from the cached reduced basis of `modulo`.  Each kept
     element extends the basis with no pair whose lcm lies above the largest
@@ -638,8 +631,6 @@ def minimalize_homogeneous(gens: Sequence[Polynomial], sig: RingSignature,
     nonzero = [g for g in gens if not g.is_zero]
     if modulo is None:
         modulo = IdealHandle(sig, ())
-    elif modulo.order != order:
-        raise ValueError("minimalize_homogeneous needs modulo in the default order")
     for g in nonzero + list(modulo.gens):
         if not g.is_homogeneous():
             raise ValueError(f"minimalize_homogeneous needs homogeneous input, got {g}")
@@ -651,6 +642,5 @@ def minimalize_homogeneous(gens: Sequence[Polynomial], sig: RingSignature,
         if normal_form_raw(g, basis, order).is_zero:
             continue
         kept.append(g)
-        basis = _buchberger(list(basis) + [g], len(basis), order,
-                            current_budget(), max_degree=top)
+        basis = _buchberger(list(basis) + [g], len(basis), order, max_degree=top)
     return tuple(kept)

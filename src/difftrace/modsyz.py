@@ -14,9 +14,10 @@ engine of groebner.py, the one that ideals use as rank-1 modules.  The
 basis of I*S^p, so they seed the engine and no pair among them is made; only
 the part of the basis leading in the last q coordinates, the kernel part, is
 made reduced, and Fractions are formed only for the kernel columns.
-module_groebner and vector_normal_form take and give Vectors with Fraction
-coefficients; inside, a basis element is its primitive integer vector and
-every reduction runs in the integer kernel.
+module_groebner and vector_normal_form take and give {position: Polynomial}
+maps with Fraction coefficients and no zero components; inside, a basis
+element is its primitive integer vector and every reduction runs in the
+integer kernel.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from typing import Sequence
 from .groebner import (
     IdealHandle,
     Order,
-    StepBudget,
     _Element,
     _IntVector,
     _Keys,
@@ -43,63 +43,23 @@ from .groebner import (
     default_order,
     leading_monomial,
 )
-from .poly import Exponents, Polynomial, RingSignature
+from .poly import Polynomial, RingSignature
 from .rings import GradedAlgebra
 
 Column = tuple[Polynomial, ...]
 
 
-class Vector:
-    """Sparse vector of polynomials, indexed by position."""
-
-    # _ints: the primitive integer multiple, made on first use as a reducer
-    __slots__ = ("sig", "comps", "_lead", "_ints")
-
-    def __init__(self, sig: RingSignature, comps: dict[int, Polynomial]):
-        self.sig = sig
-        self.comps = {i: p for i, p in comps.items() if not p.is_zero}
-        self._lead: tuple[Order, tuple[int, Exponents]] | None = None
-        self._ints: _IntVector | None = None
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.comps
-
-    def lead(self, order: Order) -> tuple[int, Exponents]:
-        """Largest module term: smallest position wins, then the poly order."""
-        got = self._lead
-        if got is not None and got[0] is order:
-            return got[1]
-        pos = min(self.comps)
-        val = (pos, leading_monomial(self.comps[pos], order))
-        self._lead = (order, val)
-        return val
-
-    def __repr__(self) -> str:
-        inside = ", ".join(f"{i}: {p}" for i, p in sorted(self.comps.items()))
-        return f"Vector({{{inside}}})"
+def _map_element(v: dict[int, Polynomial], keys: _Keys) -> _Element:
+    """The primitive integer element of a nonzero {position: Polynomial} map."""
+    return _element(_primitive(_integers({i: p.terms for i, p in v.items()})[0]), keys)
 
 
-def _vector_element(v: Vector, order: Order) -> _Element:
-    ints = v._ints
-    if ints is None:
-        ints = v._ints = _primitive(_integers({i: p.terms for i, p in v.comps.items()})[0])
-    pos, mono = v.lead(order)
-    return pos, mono, ints, ints[pos][mono]
+def _map(sig: RingSignature, ints: _IntVector, den: int) -> dict[int, Polynomial]:
+    return {i: Polynomial._of(sig, _fractions(comp, den)) for i, comp in ints.items()}
 
 
-def _monic_vector(sig: RingSignature, element: _Element, order: Order) -> Vector:
-    pos, mono, ints, lead = element
-    v = Vector(sig, {i: Polynomial._of(sig, _fractions(comp, lead))
-                     for i, comp in ints.items()})
-    v.comps[pos]._lead_cache[order] = mono
-    v._lead = (order, (pos, mono))
-    v._ints = ints
-    return v
-
-
-def module_groebner(gens: Sequence[Vector], order: Order,
-                    budget: StepBudget | None = None) -> list[Vector]:
+def module_groebner(gens: Sequence[dict[int, Polynomial]],
+                    order: Order) -> list[dict[int, Polynomial]]:
     """Reduced Groebner basis of the submodule generated by gens, under the
     position-over-term refinement of the given monomial order.
 
@@ -107,30 +67,29 @@ def module_groebner(gens: Sequence[Vector], order: Order,
     groebner._groebner); the coprime-lead criterion is applied only to a
     rank-1 module at position 0, which is an ideal, as it is not valid for
     module pairs.  Each S-vector taken for reduction and each reduction
-    step ticks the budget.
+    step ticks the ambient budget.
     """
-    if budget is None:
-        budget = current_budget()
-    gens = [g for g in gens if not g.is_zero]
+    gens = [v for v in gens if any(not p.is_zero for p in v.values())]
     if not gens:
         return []
-    elements = [_vector_element(g, order) for g in gens]
-    return [_monic_vector(gens[0].sig, e, order)
-            for e in _groebner(elements, 0, order, budget)]
+    sig = next(iter(gens[0].values())).sig
+    keys = _Keys(order)
+    elements = [_map_element(v, keys) for v in gens]
+    return [_map(sig, ints, lead)
+            for _, _, ints, lead in _groebner(elements, 0, order, current_budget())]
 
 
-def vector_normal_form(v: Vector, basis: Sequence[Vector], order: Order,
-                       budget: StepBudget | None = None) -> Vector:
-    """Full remainder of v under division by the basis vectors: each step
-    takes the largest remaining term and the first basis vector, in list
-    order, whose leading term divides it."""
-    if budget is None:
-        budget = current_budget()
-    buckets = _buckets([_vector_element(g, order) for g in basis if not g.is_zero])
-    vec, den = _integers({i: p.terms for i, p in v.comps.items()})
-    remainder, den = _reduce(vec, den, buckets, _Keys(order), budget)
-    return Vector(v.sig, {i: Polynomial._of(v.sig, _fractions(comp, den))
-                          for i, comp in remainder.items()})
+def vector_normal_form(v: dict[int, Polynomial], basis: Sequence[dict[int, Polynomial]],
+                       order: Order) -> dict[int, Polynomial]:
+    """Full remainder of v under division by the basis maps: each step takes
+    the largest remaining term and the first basis map, in list order,
+    whose leading term divides it."""
+    keys = _Keys(order)
+    buckets = _buckets([_map_element(g, keys) for g in basis
+                        if any(not p.is_zero for p in g.values())])
+    vec, den = _integers({i: p.terms for i, p in v.items()})
+    remainder, den = _reduce(vec, den, buckets, keys, current_budget())
+    return _map(next(iter(v.values())).sig, remainder, den) if remainder else {}
 
 
 # -- kernels over the quotient -------------------------------------------------

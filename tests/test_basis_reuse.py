@@ -22,7 +22,6 @@ from difftrace.constructions import (
     tensor_product,
 )
 from difftrace.groebner import (
-    StepBudget,
     _buchberger,
     buchberger,
     default_order,
@@ -62,7 +61,7 @@ def untruncated_minimalize(gens, sig, modulo_gens):
         if normal_form_raw(g, basis, order).is_zero:
             continue
         kept.append(g)
-        basis = _buchberger(list(basis) + [g], len(basis), order, StepBudget())
+        basis = _buchberger(list(basis) + [g], len(basis), order)
     return tuple(kept)
 
 

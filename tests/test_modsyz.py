@@ -18,7 +18,6 @@ from oracles import (
 from difftrace.groebner import ideal_equals, normal_form
 from difftrace.modsyz import (
     ModulePresentation,
-    Vector,
     exterior_power_presentation,
     fitting_ideal,
     free_presentation,
@@ -27,6 +26,7 @@ from difftrace.modsyz import (
     module_groebner,
     syzygies,
     trace_ideal,
+    vector_normal_form,
 )
 from difftrace.groebner import default_order, normal_form_raw
 from difftrace.poly import Polynomial, RingSignature, parse_many, parse_polynomial
@@ -75,17 +75,13 @@ def conic():
     return make_ring(["a", "b", "c"], [1, 1, 1], ["a*c - b^2"])
 
 
-class TestVector:
-    def test_lead_prefers_low_position(self):
-        order = default_order(XY)
-        v = Vector(XY, {0: parse_polynomial("y", XY),
-                        1: parse_polynomial("x^5", XY)})
-        pos, exps = v.lead(order)
-        assert pos == 0 and exps == (0, 1)
-
-    def test_zero_components_dropped(self):
-        v = Vector(XY, {0: Polynomial.zero(XY), 1: parse_polynomial("x", XY)})
-        assert list(v.comps) == [1]
+def test_zero_components_dropped():
+    order = default_order(XY)
+    zero, x = Polynomial.zero(XY), parse_polynomial("x", XY)
+    basis = module_groebner([{0: x, 1: Polynomial.one(XY)}], order)
+    assert vector_normal_form({0: zero, 1: x}, [], order) == {1: x}
+    assert vector_normal_form({}, basis, order) == {}
+    assert module_groebner([{0: zero}], order) == []
 
 
 class TestSyzygies:
@@ -134,15 +130,15 @@ def module_syzygies(rows, algebra, q):
     sig = algebra.sig
     order = default_order(sig)
     p = len(rows)
-    gens = [Vector(sig, {**{i: rows[i][j] for i in range(p)},
-                         p + j: Polynomial.one(sig)}) for j in range(q)]
-    gens += [Vector(sig, {r: f}) for f in algebra.defining.gens for r in range(p)]
+    gens = [{**{i: rows[i][j] for i in range(p)}, p + j: Polynomial.one(sig)}
+            for j in range(q)]
+    gens += [{r: f} for f in algebra.defining.gens for r in range(p)]
     defining = algebra.defining.groebner_basis
     columns = []
     for g in module_groebner(gens, order):
-        if any(pos < p for pos in g.comps):
+        if any(pos < p for pos in g):
             continue
-        column = tuple(normal_form_raw(g.comps.get(p + j, Polynomial.zero(sig)),
+        column = tuple(normal_form_raw(g.get(p + j, Polynomial.zero(sig)),
                                        defining, order) for j in range(q))
         if any(not e.is_zero for e in column) and column not in columns:
             columns.append(column)

@@ -21,12 +21,12 @@ from hypothesis import strategies as st
 
 from difftrace.groebner import (
     BlockOrder,
-    StepBudget,
     WeightedGrevlex,
     buchberger,
     normal_form_raw,
+    step_budget,
 )
-from difftrace.modsyz import Vector, module_groebner, vector_normal_form
+from difftrace.modsyz import module_groebner, vector_normal_form
 from difftrace.poly import Polynomial, RingSignature
 from oracles import oracle_s_vector, oracle_vector_reduce
 
@@ -68,9 +68,10 @@ class TestIdealReduction:
     @given(st.sampled_from(ORDERS), st.lists(polynomials(), min_size=1, max_size=3),
            polynomials(6))
     def test_against_groebner_basis(self, order, gens, p):
-        basis = buchberger(gens, order, StepBudget(10 ** 9))
-        budget = StepBudget(10 ** 9)
-        r = normal_form_raw(p, basis, order, budget)
+        with step_budget(10 ** 9):
+            basis = buchberger(gens, order)
+        with step_budget(10 ** 9) as budget:
+            r = normal_form_raw(p, basis, order)
         assert_matches_reference({0: r}, budget.used, {0: p},
                                  [{0: g} for g in basis], order)
 
@@ -78,8 +79,8 @@ class TestIdealReduction:
     @given(st.sampled_from(ORDERS), st.lists(polynomials(), min_size=1, max_size=4),
            polynomials(6))
     def test_against_generators_with_other_leads(self, order, gens, p):
-        budget = StepBudget(10 ** 9)
-        r = normal_form_raw(p, gens, order, budget)
+        with step_budget(10 ** 9) as budget:
+            r = normal_form_raw(p, gens, order)
         assert_matches_reference({0: r}, budget.used, {0: p},
                                  [{0: g} for g in gens], order)
 
@@ -90,42 +91,39 @@ class TestModuleReduction:
     def test_against_module_basis(self, order, rank, data):
         gens = data.draw(st.lists(vectors(rank), min_size=1, max_size=3))
         v = data.draw(vectors(rank))
-        basis = module_groebner([Vector(XYZ, g) for g in gens], order,
-                                StepBudget(10 ** 9))
+        with step_budget(10 ** 9):
+            basis = module_groebner(gens, order)
         for g in basis:
-            assert_fraction_coefficients(g.comps.values())
-        budget = StepBudget(10 ** 9)
-        r = vector_normal_form(Vector(XYZ, v), basis, order, budget)
-        assert_matches_reference(r.comps, budget.used, v,
-                                 [g.comps for g in basis], order)
+            assert_fraction_coefficients(g.values())
+        with step_budget(10 ** 9) as budget:
+            r = vector_normal_form(v, basis, order)
+        assert_matches_reference(r, budget.used, v, basis, order)
 
     @settings(max_examples=100)
     @given(st.sampled_from(ORDERS), st.integers(2, 3), st.data())
     def test_against_generators_with_other_leads(self, order, rank, data):
         gens = data.draw(st.lists(vectors(rank), min_size=1, max_size=4))
         v = data.draw(vectors(rank))
-        budget = StepBudget(10 ** 9)
-        r = vector_normal_form(Vector(XYZ, v), [Vector(XYZ, g) for g in gens],
-                               order, budget)
-        assert_matches_reference(r.comps, budget.used, v, gens, order)
+        with step_budget(10 ** 9) as budget:
+            r = vector_normal_form(v, gens, order)
+        assert_matches_reference(r, budget.used, v, gens, order)
 
 
 def assert_reduced_leads_and_certificate(gens, basis, order):
     """Buchberger's criterion on the basis, and membership of every
     generator, decided by the reference division; no lead divides another."""
-    comps = [g.comps for g in basis]
     leads = []
-    for v in comps:
+    for v in basis:
         pos = min(v)
         leads.append((pos, max(v[pos].terms, key=order.key)))
     for (p, a), (q, b) in itertools.permutations(leads, 2):
         assert not (p == q and all(map(le, a, b)))
-    for (f, (p, _)), (g, (q, _)) in itertools.combinations(zip(comps, leads), 2):
+    for (f, (p, _)), (g, (q, _)) in itertools.combinations(zip(basis, leads), 2):
         if p == q:
             s = oracle_s_vector(f, g, order.key)
-            assert oracle_vector_reduce(s, comps, order.key)[0] == {}
+            assert oracle_vector_reduce(s, basis, order.key)[0] == {}
     for g in gens:
-        assert oracle_vector_reduce(g, comps, order.key)[0] == {}
+        assert oracle_vector_reduce(g, basis, order.key)[0] == {}
 
 
 class TestModuleGroebnerCertificate:
@@ -134,8 +132,8 @@ class TestModuleGroebnerCertificate:
     def test_engine_basis_passes_the_reference_criterion(self, order, rank, data):
         # two terms a component keep the kernel's integers small
         gens = data.draw(st.lists(vectors(rank, 2), min_size=4, max_size=6))
-        basis = module_groebner([Vector(XYZ, g) for g in gens], order,
-                                StepBudget(10 ** 9))
+        with step_budget(10 ** 9):
+            basis = module_groebner(gens, order)
         assert_reduced_leads_and_certificate(gens, basis, order)
 
     def test_duplicate_and_redundant_ideal_leads(self):
@@ -145,15 +143,15 @@ class TestModuleGroebnerCertificate:
             basis = buchberger(gens, order)
             assert basis == (x,)
             assert_reduced_leads_and_certificate(
-                [{0: g} for g in gens], [Vector(XYZ, {0: g}) for g in basis], order)
+                [{0: g} for g in gens], [{0: g} for g in basis], order)
 
     def test_duplicate_module_leads(self):
         # both lead with x in position 0; their S-vector is (0, 1)
         x, one = Polynomial.variable(XYZ, 0), Polynomial.one(XYZ)
         gens = [{0: x, 1: one}, {0: x}]
         for order in ORDERS:
-            basis = module_groebner([Vector(XYZ, g) for g in gens], order)
-            assert [g.comps for g in basis] == [{0: x}, {1: one}]
+            basis = module_groebner(gens, order)
+            assert basis == [{0: x}, {1: one}]
             assert_reduced_leads_and_certificate(gens, basis, order)
 
 
@@ -161,28 +159,27 @@ class TestIdealAsRankOneModule:
     @settings(max_examples=100)
     @given(st.sampled_from(ORDERS), st.lists(polynomials(), min_size=1, max_size=4))
     def test_same_basis_and_steps(self, order, gens):
-        ideal_budget, module_budget = StepBudget(10 ** 9), StepBudget(10 ** 9)
-        basis = buchberger(gens, order, ideal_budget)
-        module = module_groebner([Vector(XYZ, {0: g}) for g in gens], order,
-                                 module_budget)
-        assert [g.comps for g in module] == [{0: g} for g in basis]
+        with step_budget(10 ** 9) as ideal_budget:
+            basis = buchberger(gens, order)
+        with step_budget(10 ** 9) as module_budget:
+            module = module_groebner([{0: g} for g in gens], order)
+        assert module == [{0: g} for g in basis]
         assert module_budget.used == ideal_budget.used
 
     def test_coprime_leads_of_module_pairs_are_not_skipped(self):
         # the leads x and y are coprime, but y*(x, 1) - x*(y, 0) = (0, y)
         # does not reduce to zero: the coprime-lead criterion is for rank 1
         x, y = Polynomial.variable(XYZ, 0), Polynomial.variable(XYZ, 1)
-        basis = module_groebner([Vector(XYZ, {0: x, 1: Polynomial.one(XYZ)}),
-                                 Vector(XYZ, {0: y})], ORDERS[0])
-        assert {1: y} in [g.comps for g in basis]
+        basis = module_groebner([{0: x, 1: Polynomial.one(XYZ)}, {0: y}], ORDERS[0])
+        assert {1: y} in basis
 
 
 def test_denominator_grows_past_a_machine_word():
     # every step rescales the vector by 3: the remainder is y^60 / 3^60
     x, y = Polynomial.variable(XYZ, 0), Polynomial.variable(XYZ, 1)
     gens = [x.scale(3) - y]
-    budget = StepBudget(10 ** 9)
-    r = normal_form_raw(x ** 60, gens, ORDERS[0], budget)
+    with step_budget(10 ** 9) as budget:
+        r = normal_form_raw(x ** 60, gens, ORDERS[0])
     assert r == (y ** 60).scale(Fraction(1, 3 ** 60))
     assert_matches_reference({0: r}, budget.used, {0: x ** 60}, [{0: gens[0]}],
                              ORDERS[0])
