@@ -88,7 +88,7 @@ def _cmd_trace(args) -> dict:
     handle = diff_trace(algebra, args.power)
     return {
         "command": "trace",
-        "inputs": {"ring": description.as_json(), "power": args.power},
+        "inputs": {"ring": _algebra_json(description.algebra), "power": args.power},
         "results": {
             "generators": _ideal_strings(algebra, handle),
             "isWholeRing": handle.is_trivial,
@@ -112,7 +112,7 @@ def _cmd_classify(args) -> dict:
     regular = is_regular_via_trace(algebra) if algebra.asserted_reduced else None
     return {
         "command": "classify",
-        "inputs": {"ring": description.as_json()},
+        "inputs": {"ring": _algebra_json(description.algebra)},
         "results": {
             "dimension": dim,
             "traces": traces,
@@ -138,7 +138,7 @@ def _cmd_singular(args) -> dict:
         results["radicalsAgree"] = radical_equal(trace, jacobian)
     return {
         "command": "singular",
-        "inputs": {"ring": description.as_json(),
+        "inputs": {"ring": _algebra_json(description.algebra),
                    "crossCheck": bool(args.cross_check)},
         "results": results,
     }
@@ -149,7 +149,7 @@ def _cmd_prank(args) -> dict:
     algebra = description.algebra
     return {
         "command": "prank",
-        "inputs": {"ring": description.as_json()},
+        "inputs": {"ring": _algebra_json(description.algebra)},
         "results": {
             "dimension": algebra.dimension,
             "polynomialRank": polynomial_rank(algebra),
@@ -174,7 +174,8 @@ def _cmd_product(build, predict, args) -> dict:
         results["nearlyRegular"] = is_nearly_regular(product)
     return {
         "command": args.command,
-        "inputs": {"ringA": da.as_json(), "ringB": db.as_json(),
+        "inputs": {"ringA": _algebra_json(da.algebra),
+                   "ringB": _algebra_json(db.algebra),
                    "verifyFormula": bool(args.verify_formula)},
         "results": results,
     }
@@ -213,7 +214,7 @@ def _cmd_veronese(args) -> dict:
     subring = veronese_algebra(description.algebra, args.degree)
     return {
         "command": "veronese",
-        "inputs": {"ring": description.as_json(), "degree": args.degree},
+        "inputs": {"ring": _algebra_json(description.algebra), "degree": args.degree},
         "results": {
             "ring": _algebra_json(subring),
             "dimension": subring.dimension,

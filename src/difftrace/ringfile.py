@@ -29,15 +29,6 @@ class RingDescription:
     ideal_texts: tuple[str, ...] = ()
     assumptions: tuple[str, ...] = ()
 
-    def as_json(self) -> dict:
-        sig = self.algebra.sig
-        return {
-            "vars": [{"name": n, "weight": w}
-                     for n, w in zip(sig.names, sig.weights)],
-            "ideal": [str(g) for g in self.algebra.defining.gens],
-            "assume": sorted(self.assumptions),
-        }
-
 
 def _parse_vars(body: str, lineno: int) -> RingSignature:
     names: list[str] = []

@@ -71,14 +71,6 @@ class SimplicialComplex:
     def is_simplex(self) -> bool:
         return self.facets == frozenset({frozenset(self.vertices)})
 
-    def faces(self, k: int) -> list[frozenset[int]]:
-        """All faces with k vertices."""
-        out = set()
-        for facet in self.facets:
-            for combo in itertools.combinations(sorted(facet), k):
-                out.add(frozenset(combo))
-        return sorted(out, key=sorted)
-
     @cached_property
     def minimal_nonfaces(self) -> tuple[tuple[int, ...], ...]:
         """Vertex sets that are not faces while all proper subsets are.

@@ -63,8 +63,6 @@ class TestComplexBasics:
         assert path.is_face([2])
         assert path.is_face([1, 2])
         assert not path.is_face([1, 3])
-        assert path.faces(1) == [frozenset({1}), frozenset({2}), frozenset({3})]
-        assert path.faces(2) == [frozenset({1, 2}), frozenset({2, 3})]
 
     def test_is_simplex(self):
         assert C("1 2 3").is_simplex
