@@ -164,11 +164,7 @@ def predicted_fiber_trace(A: GradedAlgebra, B: GradedAlgebra,
     _, pos_a, pos_b = _merged_signature(A, B)
     da = extend_scalars(dagger(diff_trace(A, top), A), R, pos_a)
     db = extend_scalars(dagger(diff_trace(B, top), B), R, pos_b)
-    merged = list(da.gens)
-    for g in db.gens:
-        if g not in merged:
-            merged.append(g)
-    return R.s_ideal(tuple(merged))
+    return R.s_ideal(tuple(dict.fromkeys(da.gens + db.gens)))
 
 
 # -- Veronese subrings ----------------------------------------------------------
