@@ -84,7 +84,8 @@ def current_budget() -> StepBudget:
     """The ambient budget, or a fresh default-sized one.
 
     Outside `step_budget`, each engine entry (each `buchberger`,
-    `groebner_basis`, `syzygies` or `trace_contains`) gets its own budget.
+    `normal_form_raw`, `groebner_basis`, `syzygies` or `trace_contains`)
+    gets its own budget.
     `step_budget` is the only way to bound or count a library computation
     as a whole.
     """
