@@ -75,13 +75,23 @@ def conic():
     return make_ring(["a", "b", "c"], [1, 1, 1], ["a*c - b^2"])
 
 
-def test_zero_components_dropped():
-    order = default_order(XY)
-    zero, x = Polynomial.zero(XY), parse_polynomial("x", XY)
-    basis = module_groebner([{0: x, 1: Polynomial.one(XY)}], order)
-    assert vector_normal_form({0: zero, 1: x}, [], order) == {1: x}
-    assert vector_normal_form({}, basis, order) == {}
-    assert module_groebner([{0: zero}], order) == []
+class TestVector:
+    def test_lead_prefers_low_position(self):
+        order = default_order(XY)
+        y, x5 = parse_polynomial("y", XY), parse_polynomial("x^5", XY)
+        basis = module_groebner([{0: y, 1: x5}], order)
+        assert basis == [{0: y, 1: x5}]
+        # the lead is y at position 0, so y e_0 reduces and x^5 e_1 does not
+        assert vector_normal_form({0: y}, basis, order) == {1: -x5}
+        assert vector_normal_form({1: x5}, basis, order) == {1: x5}
+
+    def test_zero_components_dropped(self):
+        order = default_order(XY)
+        zero, x = Polynomial.zero(XY), parse_polynomial("x", XY)
+        basis = module_groebner([{0: x, 1: Polynomial.one(XY)}], order)
+        assert vector_normal_form({0: zero, 1: x}, [], order) == {1: x}
+        assert vector_normal_form({}, basis, order) == {}
+        assert module_groebner([{0: zero}], order) == []
 
 
 class TestSyzygies:
