@@ -1,0 +1,59 @@
+"""Exact step counts and generators of top traces at the frontier.
+
+The 2x4 Segre cone (the 2x2 minors of a generic 2x4 matrix, variables in
+row-major order) is the smallest cone whose top trace is a real module
+Groebner basis of the frontier kind: 8 variables, target rank 56.  The pin
+counts only the trace ("trace only": `diff_trace`, without
+`presented_generators`): the defining ideal's basis and the dimension are
+computed before the budget opens.  The stored generator strings are the
+trace entries `trace_ideal` returns, in its order.  A rewrite of the
+reduction kernel that makes the same reductions leaves both as they are.
+`tests/data/frontier.json` only gets entries appended.  To print an entry
+from the code on the path (only from code whose output is trusted):
+
+    PYTHONPATH=src python tests/test_frontier.py
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+from difftrace.groebner import step_budget
+from difftrace.modsyz import matrix_minors
+from difftrace.poly import Polynomial, RingSignature
+from difftrace.rings import GradedAlgebra
+from difftrace.traces import diff_trace
+
+DATA = Path(__file__).resolve().parent / "data" / "frontier.json"
+
+
+def segre(p: int, q: int) -> GradedAlgebra:
+    """The cone over P^(p-1) x P^(q-1): 2x2 minors of a generic p x q matrix."""
+    sig = RingSignature.standard(*(f"x{i}{j}" for i in range(p) for j in range(q)))
+    rows = [[Polynomial.variable(sig, i * q + j) for j in range(q)] for i in range(p)]
+    return GradedAlgebra(sig, matrix_minors(rows, 2, sig))
+
+
+CONES = {"top trace segre 2x4": lambda: segre(2, 4)}
+
+
+def top_trace(name: str) -> dict:
+    algebra = CONES[name]()
+    algebra.defining.groebner_basis
+    dimension = algebra.dimension
+    with step_budget(10 ** 12) as budget:
+        handle = diff_trace(algebra, dimension)
+    return {"steps": budget.used, "generators": [str(g) for g in handle.gens]}
+
+
+@pytest.mark.parametrize("name", sorted(CONES))
+def test_top_trace(name):
+    stored = json.loads(DATA.read_text(encoding="utf-8"))[name]
+    assert top_trace(name) == stored
+
+
+if __name__ == "__main__":
+    print(json.dumps({name: top_trace(name) for name in sorted(CONES)}, indent=1))
