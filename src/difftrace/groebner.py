@@ -5,7 +5,11 @@ coefficients.  One Buchberger engine (`_groebner`) computes Groebner bases
 for ideals here and for modules in modsyz.py: an ideal is the rank-1 module
 at position 0.  Division with remainder runs in one kernel (`_reduce`) on
 integer coefficients over one common denominator, and forms Fractions only
-for the remainder or basis it returns.
+for the remainder or basis it returns.  Inside the engine each monomial is
+one packed int, whose order is the monomial order; monomials are packed and
+unpacked only where Fractions are read or made.  Packing holds weighted
+degrees up to 16383 in each block of the order (and so every exponent up to
+16383); past that limit the engine raises ValueError.
 Monomial orders are weighted graded reverse lexicographic (the default
 everywhere) and a two-block elimination order used by
 eliminate/intersection.  Every S-pair taken for reduction and every
@@ -17,13 +21,14 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import struct
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import add, le, sub
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .poly import (
@@ -31,9 +36,6 @@ from .poly import (
     Polynomial,
     RingSignature,
     grevlex_key,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
 )
 
 DEFAULT_MAX_STEPS = 1_000_000
@@ -104,6 +106,10 @@ class WeightedGrevlex:
     def key(self, exps: Exponents):
         return grevlex_key(exps, self.weights)
 
+    @cached_property
+    def _packing(self) -> _Packing:
+        return _Packing(self.weights, 0)
+
 
 @dataclass(frozen=True)
 class BlockOrder:
@@ -116,6 +122,10 @@ class BlockOrder:
         c = self.cut
         return (grevlex_key(exps[:c], self.weights[:c]),
                 grevlex_key(exps[c:], self.weights[c:]))
+
+    @cached_property
+    def _packing(self) -> _Packing:
+        return _Packing(self.weights, self.cut)
 
 
 Order = WeightedGrevlex | BlockOrder
@@ -144,38 +154,133 @@ def monic(p: Polynomial, order: Order) -> Polynomial:
     return p if lc == 1 else p.scale(1 / lc)
 
 
+# -- packed monomials ------------------------------------------------------------
+#
+# Inside the kernel a monomial is one int (Monagan and Pearce, CASC 2007).
+# An order's variables fall into blocks compared one after another: one for
+# weighted grevlex, two for the elimination order.  From the top, each block
+# has one field holding its weighted degree and then one field per variable,
+# last variable first, holding _BIAS - exponent.  Every field is _FIELD bits
+# wide and its top bit is a guard, clear in every packed monomial.  So:
+#
+# - comparing ints compares the order's keys;
+# - packing is affine, so a + b - base packs the product of a and b;
+# - a divides b exactly when ((a | guards) - b) keeps every variable guard
+#   bit: no field borrows from the next.
+#
+# Each block's weighted degree must stay at most _MAX_DEGREE, so every
+# exponent does too.  Then the product of two packed monomials still packs
+# without a borrow, and the bit below its degree fields' guards shows
+# whether it went over.
+
+_FIELD = 16  # bits per field, read back as little-endian unsigned shorts
+_BIAS = (1 << (_FIELD - 1)) - 1
+_MAX_DEGREE = (1 << (_FIELD - 2)) - 1
+
+
+class _Packing:
+    """The packed encoding of one order: its weights, and the number of
+    variables in its first block if it has two (0 for weighted grevlex)."""
+
+    __slots__ = ("layout", "base", "guards", "dividing", "over", "top",
+                 "_cut", "_back", "_blocks", "_fields", "_size", "_hash")
+
+    def __init__(self, weights: tuple[int, ...], cut: int):
+        n = len(weights)
+        # fields from the bottom, as (variables, weights) per block, each
+        # block followed by its degree field
+        blocks = ([(n - cut, weights[cut:]), (cut, weights[:cut])] if cut
+                  else [(n, weights)])
+        self._blocks = []
+        self.base = self.dividing = self.over = 0
+        start = field = 0
+        for count, block_weights in blocks:
+            for k in range(field, field + count):
+                self.base |= _BIAS << (_FIELD * k)
+                self.dividing |= 1 << (_FIELD * k + _FIELD - 1)
+            degree = _FIELD * (field + count)
+            self.over |= 1 << (degree + _FIELD - 2)
+            self._blocks.append((slice(start, start + count), block_weights, degree))
+            start += count
+            field += count + 1
+        self.top = degree  # the first block's degree field
+        self.guards = sum(1 << (_FIELD * k + _FIELD - 1) for k in range(field))
+        self.layout = (weights, cut)
+        self._cut, self._back = cut, n - cut if cut else 0
+        self._fields = struct.Struct("<" + "".join(f"{count}H2x" for count, _ in blocks))
+        self._size = self._fields.size
+        self._hash = hash(self.layout)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _Packing) and self.layout == other.layout
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def _degrees(self, fields: Exponents) -> int:
+        """The degree fields of the exponents in field order; ValueError
+        past the limit."""
+        out = 0
+        for span, weights, offset in self._blocks:
+            degree = sum(map(mul, fields[span], weights))
+            if degree > _MAX_DEGREE:
+                raise self.overflow()
+            out |= degree << offset
+        return out
+
+    def pack(self, exps: Exponents) -> int:
+        c = self._cut
+        fields = exps[c:] + exps[:c] if c else exps
+        degrees = self._degrees(fields)
+        return degrees | (int.from_bytes(self._fields.pack(*fields), "little") ^ self.base)
+
+    def unpack(self, mono: int) -> Exponents:
+        # _BIAS - f == _BIAS ^ f for a field f in [0, _BIAS]
+        fields = self._fields.unpack((mono ^ self.base).to_bytes(self._size, "little"))
+        c = self._back
+        return fields[c:] + fields[:c] if c else fields
+
+    def lcm(self, a: int, b: int) -> int:
+        """The lcm of two packed monomials, by the smaller of each pair of
+        variable fields."""
+        ge = ((a | self.guards) - b) & self.dividing  # where a's field is >= b's
+        keep = ge - (ge >> (_FIELD - 1))
+        low = (b & keep) | (a & self.base & ~keep)
+        fields = self._fields.unpack((low ^ self.base).to_bytes(self._size, "little"))
+        return low | self._degrees(fields)
+
+    @staticmethod
+    def overflow() -> ValueError:
+        return ValueError(
+            f"a monomial of weighted degree above {_MAX_DEGREE} in one block of "
+            f"the monomial order: the Groebner engine holds monomials up to "
+            f"weighted degree {_MAX_DEGREE}")
+
+
 # -- division with remainder on integers ---------------------------------------
 #
-# The kernel reduces a vector {position: {monomial: int}} whose exact value is
-# that vector divided by one common denominator; a polynomial is the vector
-# at position 0.  A reducer, and a basis element of the Buchberger engine,
-# is an _Element: (lead position, lead monomial, integer vector, lead
-# coefficient).  A reduction step is the same for every nonzero multiple of
-# a reducer, so each is kept as its primitive multiple: coprime integers,
-# made once and cached on the Polynomial.
+# The kernel reduces a vector {position: {packed monomial: int}} whose exact
+# value is that vector divided by one common denominator; a polynomial is
+# the vector at position 0.  A basis element of the Buchberger engine is an
+# _Element: (lead position, lead monomial, integer vector, lead
+# coefficient).  A reducer is the same with its guarded lead in front,
+# bucketed by lead position.  A reduction step is the same for every nonzero
+# multiple of a reducer, so each is kept as its primitive multiple: coprime
+# integers, made once per encoding and cached on the Polynomial.  Monomials
+# are packed and unpacked only where Fractions are read or made.
 
-_IntVector = dict[int, dict[Exponents, int]]
-_Element = tuple[int, Exponents, _IntVector, int]
-
-
-class _Keys(dict):
-    """Order keys, computed once per monomial."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, order: Order):
-        super().__init__()
-        self.key = order.key
-
-    def __missing__(self, mono: Exponents):
-        value = self[mono] = self.key(mono)
-        return value
+_IntVector = dict[int, dict[int, int]]
+_Element = tuple[int, int, _IntVector, int]
+_Reducer = tuple[int, int, _IntVector, int]
 
 
-def _integers(comps: Mapping[int, Mapping[Exponents, Fraction]]) -> tuple[_IntVector, int]:
-    """Integer numerators of Fraction terms over their least common denominator."""
+def _integers(comps: Mapping[int, Mapping[Exponents, Fraction]],
+              packing: _Packing) -> tuple[_IntVector, int]:
+    """Integer numerators of Fraction terms over their least common
+    denominator, on packed monomials."""
     den = lcm(*(c.denominator for terms in comps.values() for c in terms.values()))
-    return ({i: {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+    pack = packing.pack
+    return ({i: {pack(e): c.numerator * (den // c.denominator) for e, c in terms.items()}
              for i, terms in comps.items() if terms}, den)
 
 
@@ -187,12 +292,22 @@ def _primitive(vec: _IntVector) -> _IntVector:
     return {i: {e: c // g for e, c in comp.items()} for i, comp in vec.items()}
 
 
-def _fractions(comp: dict[Exponents, int], den: int) -> dict[Exponents, Fraction]:
-    return {e: Fraction(c, den) for e, c in comp.items()}
+def _fractions(comp: dict[int, int], den: int,
+               packing: _Packing) -> dict[Exponents, Fraction]:
+    unpack = packing.unpack
+    return {unpack(e): Fraction(c, den) for e, c in comp.items()}
 
 
-def _reduce(vec: _IntVector, den: int, buckets: dict[int, list[_Element]],
-            keys: _Keys, budget: StepBudget) -> tuple[_IntVector, int]:
+def _buckets(elements: Iterable[_Element], packing: _Packing) -> dict[int, list[_Reducer]]:
+    """Reducers by lead position, in list order."""
+    out: dict[int, list[_Reducer]] = {}
+    for pos, lead, ints, coef in elements:
+        out.setdefault(pos, []).append((lead | packing.guards, lead, ints, coef))
+    return out
+
+
+def _reduce(vec: _IntVector, den: int, buckets: dict[int, list[_Reducer]],
+            packing: _Packing, budget: StepBudget) -> tuple[_IntVector, int]:
     """Full remainder of vec / den against reducers bucketed by lead position,
     as (integer vector, denominator); vec is consumed.
 
@@ -203,20 +318,31 @@ def _reduce(vec: _IntVector, den: int, buckets: dict[int, list[_Element]],
     position is finished once.  To cancel coefficient c against a reducer
     lead a, the vector is multiplied by a/gcd(c, a), which the denominator
     records, so no step leaves the integers.
+
+    Monomials are packed ints: the largest term is max(work), a reducer's
+    lead divides it when one subtract-and-mask keeps the variable guards,
+    and a dragged-in term is one addition.  Each term taken is checked
+    against the degree limit (ValueError beyond it).  Under weighted
+    grevlex a step never raises the degree at its own position, but the
+    second block of the elimination order, or a later position of a module,
+    can grow.  A term past the limit still packs without a borrow, as both
+    of its factors were within it.
     """
+    dividing, over = packing.dividing, packing.over
     remainder: _IntVector = {}
-    by_key = keys.__getitem__
     while vec:
         pos = min(vec)
         work = vec.pop(pos)
         bucket = buckets.get(pos, ())
-        done: dict[Exponents, int] = {}
+        done: dict[int, int] = {}
         remainder[pos] = done
         while work:
-            mono = max(work, key=by_key)
+            mono = max(work)
+            if mono & over:
+                raise packing.overflow()
             coef = work[mono]
-            for _, lm, red, lead in bucket:
-                if all(map(le, lm, mono)):
+            for guarded, lm, red, lead in bucket:
+                if (guarded - mono) & dividing == dividing:
                     break
             else:
                 done[mono] = work.pop(mono)
@@ -233,11 +359,11 @@ def _reduce(vec: _IntVector, den: int, buckets: dict[int, list[_Element]],
                 for comp in (work, *vec.values(), *remainder.values()):
                     for e in comp:
                         comp[e] *= scale
-            shift = tuple(map(sub, mono, lm))
+            shift = mono - lm
             for i, terms in red.items():
                 target = work if i == pos else vec.setdefault(i, {})
                 for e, c in terms.items():
-                    t = tuple(map(add, e, shift))
+                    t = e + shift
                     v = target.get(t, 0) - coef * c
                     if v:
                         target[t] = v
@@ -251,11 +377,18 @@ def _reduce(vec: _IntVector, den: int, buckets: dict[int, list[_Element]],
 
 
 def _poly_element(g: Polynomial, order: Order) -> _Element:
-    ints = g._ints
-    if ints is None:
-        ints = g._ints = _primitive(_integers({0: g.terms})[0])[0]
-    lm = leading_monomial(g, order)
-    return 0, lm, {0: ints}, ints[lm]
+    """The primitive integer element of a nonzero polynomial, cached on it
+    per encoding."""
+    packing = order._packing
+    cache = g._ints
+    if cache is None:
+        cache = g._ints = {}
+    element = cache.get(packing)
+    if element is None:
+        ints = _primitive(_integers({0: g.terms}, packing)[0])
+        lead = max(ints[0])
+        element = cache[packing] = (0, lead, ints, ints[0][lead])
+    return element
 
 
 def normal_form_raw(p: Polynomial, basis: Sequence[Polynomial],
@@ -268,28 +401,29 @@ def normal_form_raw(p: Polynomial, basis: Sequence[Polynomial],
     """
     if p.is_zero:
         return Polynomial._of(p.sig, {})
-    bucket = [_poly_element(g, order) for g in basis if not g.is_zero]
-    vec, den = _integers({0: p.terms})
-    remainder, den = _reduce(vec, den, {0: bucket}, _Keys(order), current_budget())
-    return Polynomial._of(p.sig, _fractions(remainder.get(0, {}), den))
+    packing = order._packing
+    buckets = _buckets([_poly_element(g, order) for g in basis if not g.is_zero], packing)
+    vec, den = _integers({0: p.terms}, packing)
+    remainder, den = _reduce(vec, den, buckets, packing, current_budget())
+    return Polynomial._of(p.sig, _fractions(remainder.get(0, {}), den, packing))
 
 
-def _element(ints: _IntVector, keys: _Keys) -> _Element:
+def _element(ints: _IntVector) -> _Element:
     pos = min(ints)
-    mono = max(ints[pos], key=keys.__getitem__)
+    mono = max(ints[pos])
     return pos, mono, ints, ints[pos][mono]
 
 
-def _s_vector(a: _Element, b: _Element, lcm: Exponents) -> _IntVector:
+def _s_vector(a: _Element, b: _Element, lcm: int) -> _IntVector:
     """A nonzero multiple of the S-vector of two elements with one lead position."""
     g = gcd(a[3], b[3])
     out: _IntVector = {}
     for (_, mono, ints, _), factor in ((a, b[3] // g), (b, -(a[3] // g))):
-        shift = tuple(map(sub, lcm, mono))
+        shift = lcm - mono
         for i, comp in ints.items():
             acc = out.setdefault(i, {})
             for e, c in comp.items():
-                t = tuple(map(add, e, shift))
+                t = e + shift
                 v = acc.get(t, 0) + factor * c
                 if v:
                     acc[t] = v
@@ -299,10 +433,10 @@ def _s_vector(a: _Element, b: _Element, lcm: Exponents) -> _IntVector:
 
 
 def _monic_polynomial(sig: RingSignature, element: _Element, order: Order) -> Polynomial:
-    _, mono, ints, lead = element
-    g = Polynomial._of(sig, _fractions(ints[0], lead))
-    g._ints = ints[0]
-    g._lead_cache[order] = mono
+    packing = order._packing
+    g = Polynomial._of(sig, _fractions(element[2][0], element[3], packing))
+    g._ints = {packing: element}
+    g._lead_cache[order] = packing.unpack(element[1])
     return g
 
 
@@ -330,7 +464,10 @@ def _groebner(elements: list[_Element], first_new: int, order: Order,
 
     An ideal is the rank-1 module at position 0.  Pairs are made only inside
     one lead position, as two elements leading in different positions have
-    no S-vector, and are taken in ascending (lcm, made) order.  Each element
+    no S-vector, and are taken in ascending (lcm, made) order.  Leads and
+    lcms are packed monomials, so the lcm, each divisibility test and the
+    coprime test are a few integer operations, and an lcm past the degree
+    limit raises ValueError.  Each element
     is installed by the update of Gebauer and Moeller (J. Symbolic Comput.
     6, 1988).  B: a pending pair is dropped when the new lead divides its
     lcm and differs from both lcms with the new element.  M and F: of the
@@ -340,74 +477,80 @@ def _groebner(elements: list[_Element], first_new: int, order: Order,
     only an ideal gets it.  The budget is ticked once per pair taken for
     reduction and once per reduction step; dropped pairs cost nothing.
     """
-    keys = _Keys(order)
+    packing = order._packing
+    guards, dividing, base = packing.guards, packing.dividing, packing.base
+    lcm_of = packing.lcm
+    cap = None if max_degree is None else (max_degree + 1) << packing.top
     ideal = all(ints.keys() == {0} for _, _, ints, _ in elements)
     basis: list[_Element] = []
-    buckets: dict[int, list[_Element]] = {}
+    buckets: dict[int, list[_Reducer]] = {}
     # by lead position: the pairing set (indices of the elements no later
     # lead divides) and the pending pairs {(i, j): lcm}
     pairing: dict[int, list[int]] = {}
-    pending: dict[int, dict[tuple[int, int], Exponents]] = {}
+    pending: dict[int, dict[tuple[int, int], int]] = {}
     heap: list = []
     counter = itertools.count()
 
     def install(element: _Element):
         pos, lead = element[0], element[1]
+        guarded = lead | guards
         new = len(basis)
         basis.append(element)
-        buckets.setdefault(pos, []).append(element)
+        buckets.setdefault(pos, []).append((guarded, *element[1:]))
         group = pairing.setdefault(pos, [])
         queue = pending.setdefault(pos, {})
         if new >= first_new:
             # B on the pending pairs
             for pair in [pair for pair, lcm in queue.items()
-                         if all(map(le, lead, lcm))
-                         and lcm != mono_lcm(basis[pair[0]][1], lead)
-                         and lcm != mono_lcm(basis[pair[1]][1], lead)]:
+                         if (guarded - lcm) & dividing == dividing
+                         and lcm != lcm_of(basis[pair[0]][1], lead)
+                         and lcm != lcm_of(basis[pair[1]][1], lead)]:
                 del queue[pair]
             # M and F on the new pairs, then the coprime-lead criterion
-            kept: list[tuple[int, Exponents]] = []
-            for _, i, lcm in sorted((keys[lcm], i, lcm) for i in group
-                                    for lcm in (mono_lcm(basis[i][1], lead),)):
-                if not any(all(map(le, other, lcm)) for _, other in kept):
+            kept: list[tuple[int, int]] = []
+            minimal: list[int] = []  # the kept lcms, guarded
+            for lcm, i in sorted((lcm_of(basis[i][1], lead), i) for i in group):
+                if not any((other - lcm) & dividing == dividing for other in minimal):
                     kept.append((i, lcm))
+                    minimal.append(lcm | guards)
             for i, lcm in kept:
-                if not (ideal and lcm == mono_mul(basis[i][1], lead)):
+                if not (ideal and lcm == basis[i][1] + lead - base):
                     queue[i, new] = lcm
-                    heapq.heappush(heap, (keys[lcm], next(counter), i, new, lcm))
-            group[:] = [i for i in group if not all(map(le, lead, basis[i][1]))]
+                    heapq.heappush(heap, (lcm, next(counter), i, new))
+            group[:] = [i for i in group
+                        if (guarded - basis[i][1]) & dividing != dividing]
         group.append(new)
 
     for element in elements:
         install(element)
 
     while heap:
-        key, _, i, j, lcm = heapq.heappop(heap)
-        if max_degree is not None and key[0] > max_degree:
+        lcm, _, i, j = heapq.heappop(heap)
+        if cap is not None and lcm >= cap:
             break
         if pending[basis[i][0]].pop((i, j), None) is None:
             continue
         budget.tick()
         remainder, _ = _reduce(_s_vector(basis[i], basis[j], lcm), 1, buckets,
-                               keys, budget)
+                               packing, budget)
         if remainder:
-            install(_element(_primitive(remainder), keys))
+            install(_element(_primitive(remainder)))
 
     # minimal leads, then tails in increasing lead order: every reducer a
     # tail can see is final, so one sweep reaches the reduced basis.  Only
     # an input can have a lead that an earlier lead of its pairing set divides.
     kept = [basis[i] for pos, group in pairing.items() if pos >= first_kept
             for i in group
-            if not any(j != i and mono_divides(basis[j][1], basis[i][1])
-                       for j in group)]
-    kept.sort(key=lambda e: (-e[0], keys[e[1]]))
-    reducers: dict[int, list[_Element]] = {}
+            if not any(j != i and ((basis[j][1] | guards) - basis[i][1]) & dividing
+                       == dividing for j in group)]
+    kept.sort(key=lambda e: (-e[0], e[1]))
+    reducers: dict[int, list[_Reducer]] = {}
     for i, (_, _, ints, _) in enumerate(kept):
         remainder, _ = _reduce({p: dict(comp) for p, comp in ints.items()}, 1,
-                               reducers, keys, budget)
-        kept[i] = _element(_primitive(remainder), keys)
-        reducers.setdefault(kept[i][0], []).append(kept[i])
-    kept.sort(key=lambda e: (e[0], keys[e[1]]))
+                               reducers, packing, budget)
+        kept[i] = _element(_primitive(remainder))
+        reducers.setdefault(kept[i][0], []).append((kept[i][1] | guards, *kept[i][1:]))
+    kept.sort(key=lambda e: (e[0], e[1]))
     return kept
 
 

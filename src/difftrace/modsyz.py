@@ -17,7 +17,10 @@ made reduced, and Fractions are formed only for the kernel columns.
 module_groebner and vector_normal_form take and give {position: Polynomial}
 maps with Fraction coefficients and no zero components; inside, a basis
 element is its primitive integer vector and every reduction runs in the
-integer kernel.
+integer kernel.  The kernel's monomials are packed ints (see groebner.py):
+this module converts only through groebner's `_integers`, `_fractions` and
+`_poly_element`, handing each the order's `_packing`, and never reads the
+layout.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ from .groebner import (
     Order,
     _Element,
     _IntVector,
-    _Keys,
+    _Packing,
+    _buckets,
     _element,
     _fractions,
     _groebner,
@@ -49,13 +53,15 @@ from .rings import GradedAlgebra
 Column = tuple[Polynomial, ...]
 
 
-def _map_element(v: dict[int, Polynomial], keys: _Keys) -> _Element:
+def _map_element(v: dict[int, Polynomial], packing: _Packing) -> _Element:
     """The primitive integer element of a nonzero {position: Polynomial} map."""
-    return _element(_primitive(_integers({i: p.terms for i, p in v.items()})[0]), keys)
+    return _element(_primitive(_integers({i: p.terms for i, p in v.items()}, packing)[0]))
 
 
-def _map(sig: RingSignature, ints: _IntVector, den: int) -> dict[int, Polynomial]:
-    return {i: Polynomial._of(sig, _fractions(comp, den)) for i, comp in ints.items()}
+def _map(sig: RingSignature, ints: _IntVector, den: int,
+         packing: _Packing) -> dict[int, Polynomial]:
+    return {i: Polynomial._of(sig, _fractions(comp, den, packing))
+            for i, comp in ints.items()}
 
 
 def module_groebner(gens: Sequence[dict[int, Polynomial]],
@@ -73,9 +79,9 @@ def module_groebner(gens: Sequence[dict[int, Polynomial]],
     if not gens:
         return []
     sig = next(iter(gens[0].values())).sig
-    keys = _Keys(order)
-    elements = [_map_element(v, keys) for v in gens]
-    return [_map(sig, ints, lead)
+    packing = order._packing
+    elements = [_map_element(v, packing) for v in gens]
+    return [_map(sig, ints, lead, packing)
             for _, _, ints, lead in _groebner(elements, 0, order, current_budget())]
 
 
@@ -84,12 +90,12 @@ def vector_normal_form(v: dict[int, Polynomial], basis: Sequence[dict[int, Polyn
     """Full remainder of v under division by the basis maps: each step takes
     the largest remaining term and the first basis map, in list order,
     whose leading term divides it."""
-    keys = _Keys(order)
-    buckets = _buckets([_map_element(g, keys) for g in basis
-                        if any(not p.is_zero for p in g.values())])
-    vec, den = _integers({i: p.terms for i, p in v.items()})
-    remainder, den = _reduce(vec, den, buckets, keys, current_budget())
-    return _map(next(iter(v.values())).sig, remainder, den) if remainder else {}
+    packing = order._packing
+    buckets = _buckets([_map_element(g, packing) for g in basis
+                        if any(not p.is_zero for p in g.values())], packing)
+    vec, den = _integers({i: p.terms for i, p in v.items()}, packing)
+    remainder, den = _reduce(vec, den, buckets, packing, current_budget())
+    return _map(next(iter(v.values())).sig, remainder, den, packing) if remainder else {}
 
 
 # -- kernels over the quotient -------------------------------------------------
@@ -124,27 +130,28 @@ def syzygies(rows: Sequence[Sequence[Polynomial]], algebra: GradedAlgebra,
         return [_unit_column(sig, q, j) for j in range(q)]
 
     budget = current_budget()
-    keys = _Keys(order)
+    packing = order._packing
     block = _quotient_block(algebra, order, range(p))
-    buckets = _buckets(block)
+    buckets = _buckets(block, packing)
     one = Polynomial.one(sig).terms
     elements = list(block)
     for j in range(q):
         comps = {i: rows[i][j].terms for i in range(p)}
         comps[p + j] = one
-        vec, den = _integers(comps)
-        remainder, _ = _reduce(vec, den, buckets, keys, budget)
-        elements.append(_element(_primitive(remainder), keys))
+        vec, den = _integers(comps, packing)
+        remainder, _ = _reduce(vec, den, buckets, packing, budget)
+        elements.append(_element(_primitive(remainder)))
     kernel = _groebner(elements, len(block), order, budget, first_kept=p)
 
-    tags = _buckets(_quotient_block(algebra, order, range(p, p + q)))
+    tags = _buckets(_quotient_block(algebra, order, range(p, p + q)), packing)
     columns: dict[tuple[str, ...], Column] = {}
     for _, _, ints, lead in kernel:
         remainder, den = _reduce({i: dict(comp) for i, comp in ints.items()}, lead,
-                                 tags, keys, budget)
+                                 tags, packing, budget)
         if not remainder:
             continue
-        column = tuple(Polynomial._of(sig, _fractions(remainder.get(p + j, {}), den))
+        column = tuple(Polynomial._of(sig, _fractions(remainder.get(p + j, {}), den,
+                                                      packing))
                        for j in range(q))
         columns.setdefault(tuple(str(e) for e in column), column)
     return [columns[key] for key in sorted(columns)]
@@ -159,14 +166,6 @@ def _quotient_block(algebra: GradedAlgebra, order: Order,
     elements = [_poly_element(f, order) for f in algebra.defining.groebner_basis]
     return [(r, lm, {r: ints[0]}, lead) for r in positions
             for _, lm, ints, lead in elements]
-
-
-def _buckets(elements: Sequence[_Element]) -> dict[int, list[_Element]]:
-    """Reducers by lead position, in list order."""
-    out: dict[int, list[_Element]] = {}
-    for element in elements:
-        out.setdefault(element[0], []).append(element)
-    return out
 
 
 def _unit_column(sig: RingSignature, q: int, j: int) -> Column:

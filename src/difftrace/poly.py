@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from operator import add, le, mul, neg
+from operator import add, mul, neg
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Union
@@ -87,15 +87,6 @@ def mono_mul(a: Exponents, b: Exponents) -> Exponents:
     return tuple(map(add, a, b))
 
 
-def mono_divides(a: Exponents, b: Exponents) -> bool:
-    """Whether x^a divides x^b."""
-    return all(map(le, a, b))
-
-
-def mono_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(map(max, a, b))
-
-
 def grevlex_key(exps: Exponents, weights: tuple[int, ...]):
     """Sort key for graded reverse lexicographic order refined by weighted
     total degree: higher key means larger monomial."""
@@ -105,8 +96,8 @@ def grevlex_key(exps: Exponents, weights: tuple[int, ...]):
 class Polynomial:
     """A polynomial with Fraction coefficients over a fixed signature."""
 
-    # _ints: the primitive integer multiple of the terms, made on first use
-    # as a reducer (groebner._primitive)
+    # _ints: {packed encoding: the primitive integer element of the terms},
+    # each made on first use as a reducer (groebner._poly_element)
     __slots__ = ("sig", "terms", "_lead_cache", "_ints")
 
     def __init__(self, sig: RingSignature,

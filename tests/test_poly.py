@@ -10,8 +10,6 @@ from difftrace.poly import (
     RingSignature,
     ZeroPolynomialError,
     grevlex_key,
-    mono_divides,
-    mono_lcm,
     mono_mul,
     parse_polynomial,
 )
@@ -54,11 +52,8 @@ class TestSignature:
 
 
 class TestMonomialHelpers:
-    def test_mul_div_lcm(self):
+    def test_mul(self):
         assert mono_mul((1, 2), (0, 3)) == (1, 5)
-        assert mono_divides((1, 0), (2, 1))
-        assert not mono_divides((1, 2), (2, 1))
-        assert mono_lcm((2, 0), (1, 3)) == (2, 3)
 
 
 class TestParsing:
