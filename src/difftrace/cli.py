@@ -306,7 +306,11 @@ def _render_human(report: dict, elapsed: float) -> str:
 
 # -- entry point -------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  Parsing leaves it as it
+    was: every option parses into a fresh namespace, and the common flags
+    default to SUPPRESS, so a flag of one call never shows in the next."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                         help="machine output: one deterministic JSON document")

@@ -95,6 +95,16 @@ def test_json_bytes_and_exit_code(argv):
     assert stdout == expected["stdout"]
 
 
+def test_no_state_between_calls():
+    """The parser is built once per process; a budget given to one call is
+    gone in the next."""
+    assert run(["classify", "--ring", "rings/node.ring", "--max-steps", "3"]) == (3, "")
+    code, stdout = run(["classify", "--ring", "rings/node.ring"])
+    assert '"maxSteps": 1000000' in stdout
+    expected = _stored()["classify --ring rings/node.ring"]
+    assert (code, stdout) == (expected["exit"], expected["stdout"])
+
+
 if __name__ == "__main__":
     entries = []
     for argv in calls():
