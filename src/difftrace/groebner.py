@@ -617,6 +617,11 @@ class IdealHandle:
 
     @property
     def is_trivial(self) -> bool:
+        """Whether the ideal is the whole ring.  With homogeneous generators
+        no basis is needed: the weights are positive, so such an ideal is the
+        unit ideal exactly when a generator is a nonzero constant."""
+        if all(g.is_homogeneous() for g in self.gens):
+            return any(g.is_constant() for g in self.gens)
         gb = self.groebner_basis
         return len(gb) == 1 and gb[0].is_constant()
 

@@ -117,6 +117,21 @@ class TestBuchberger:
         assert not handle(["x"], XY).is_trivial
         assert handle([], XY).is_zero
 
+    @given(st.data())
+    def test_homogeneous_trivial_without_basis(self, data):
+        """The basis-free answer for homogeneous generators, some of them
+        constants, some in a base handle, against the reduced basis."""
+        sig = data.draw(st.sampled_from([XY, RingSignature(("a", "b"), (2, 3))]))
+        gens = data.draw(st.lists(homogeneous_polynomials(sig, max_degree=4)
+                                  | st.integers(-3, 3).map(
+                                      lambda c: Polynomial.constant(sig, c)),
+                                  max_size=4))
+        split = data.draw(st.integers(0, len(gens)))
+        I = IdealHandle(sig, gens[split:], _base=IdealHandle(sig, gens[:split]))
+        gb = buchberger(I.gens, default_order(sig))
+        assert I.is_trivial == (len(gb) == 1 and gb[0].is_constant())
+        assert "groebner_basis" not in vars(I)
+
 
 class TestMembership:
     def test_golden(self):
