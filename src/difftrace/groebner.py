@@ -183,7 +183,7 @@ class _Packing:
     variables in its first block if it has two (0 for weighted grevlex)."""
 
     __slots__ = ("layout", "base", "guards", "dividing", "over", "top",
-                 "_cut", "_back", "_blocks", "_fields", "_size", "_hash")
+                 "_cut", "_back", "_blocks", "_fields", "_size")
 
     def __init__(self, weights: tuple[int, ...], cut: int):
         n = len(weights)
@@ -209,13 +209,9 @@ class _Packing:
         self._cut, self._back = cut, n - cut if cut else 0
         self._fields = struct.Struct("<" + "".join(f"{count}H2x" for count, _ in blocks))
         self._size = self._fields.size
-        self._hash = hash(self.layout)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, _Packing) and self.layout == other.layout
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def _degrees(self, fields: Exponents) -> int:
         """The degree fields of the exponents in field order; ValueError
@@ -263,8 +259,9 @@ class _Packing:
 # value is that vector divided by one common denominator; a polynomial is
 # the vector at position 0.  A basis element of the Buchberger engine is an
 # _Element: (lead position, lead monomial, integer vector, lead
-# coefficient).  A reducer is the same with its guarded lead in front,
-# bucketed by lead position.  A reduction step is the same for every nonzero
+# coefficient).  A reducer, bucketed by lead position, is (guarded lead,
+# lead monomial, integer vector, lead coefficient): the guarded lead has
+# every guard bit set, ready for the divisibility test.  A reduction step is the same for every nonzero
 # multiple of a reducer, so each is kept as its primitive multiple: coprime
 # integers, made once per encoding and cached on the Polynomial.  Monomials
 # are packed and unpacked only where Fractions are read or made.
@@ -377,18 +374,16 @@ def _reduce(vec: _IntVector, den: int, buckets: dict[int, list[_Reducer]],
 
 
 def _poly_element(g: Polynomial, order: Order) -> _Element:
-    """The primitive integer element of a nonzero polynomial, cached on it
-    per encoding."""
+    """The primitive integer element of a nonzero polynomial.  Its lead and
+    terms are cached on the polynomial with their encoding, and made again
+    under another encoding."""
     packing = order._packing
-    cache = g._ints
-    if cache is None:
-        cache = g._ints = {}
-    element = cache.get(packing)
-    if element is None:
-        ints = _primitive(_integers({0: g.terms}, packing)[0])
-        lead = max(ints[0])
-        element = cache[packing] = (0, lead, ints, ints[0][lead])
-    return element
+    cached = g._ints
+    if cached is None or cached[0] != packing:
+        ints = _primitive(_integers({0: g.terms}, packing)[0])[0]
+        cached = g._ints = (packing, max(ints), ints)
+    _, lead, ints = cached
+    return 0, lead, {0: ints}, ints[lead]
 
 
 def normal_form_raw(p: Polynomial, basis: Sequence[Polynomial],
@@ -435,7 +430,7 @@ def _s_vector(a: _Element, b: _Element, lcm: int) -> _IntVector:
 def _monic_polynomial(sig: RingSignature, element: _Element, order: Order) -> Polynomial:
     packing = order._packing
     g = Polynomial._of(sig, _fractions(element[2][0], element[3], packing))
-    g._ints = {packing: element}
+    g._ints = (packing, element[1], element[2][0])
     g._lead_cache[order] = packing.unpack(element[1])
     return g
 

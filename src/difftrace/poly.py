@@ -96,8 +96,8 @@ def grevlex_key(exps: Exponents, weights: tuple[int, ...]):
 class Polynomial:
     """A polynomial with Fraction coefficients over a fixed signature."""
 
-    # _ints: {packed encoding: the primitive integer element of the terms},
-    # each made on first use as a reducer (groebner._poly_element)
+    # _ints: (packed encoding, lead, primitive integer terms), made on first
+    # use as a reducer and again under another encoding (groebner._poly_element)
     __slots__ = ("sig", "terms", "_lead_cache", "_ints")
 
     def __init__(self, sig: RingSignature,

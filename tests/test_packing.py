@@ -126,3 +126,12 @@ def test_cli_reports_the_limit(tmp_path):
         "internal error: a monomial of weighted degree above 16383 in one block "
         "of the monomial order: the Groebner engine holds monomials up to "
         "weighted degree 16383\n")
+
+
+def test_cached_reducer_follows_the_encoding():
+    """A reducer's integer terms are cached with their encoding: x - y^2
+    leads with y^2 under grevlex and with x when x is eliminated."""
+    x, g = parse_many(["x", "x - y^2"], XY)
+    grevlex, block = WeightedGrevlex((1, 1)), BlockOrder((1, 1), 1)
+    for order, expected in ((grevlex, "x"), (block, "y^2"), (grevlex, "x")):
+        assert str(normal_form_raw(x, [g], order)) == expected
