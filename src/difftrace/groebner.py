@@ -210,9 +210,6 @@ class _Packing:
         self._fields = struct.Struct("<" + "".join(f"{count}H2x" for count, _ in blocks))
         self._size = self._fields.size
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, _Packing) and self.layout == other.layout
-
     def _degrees(self, fields: Exponents) -> int:
         """The degree fields of the exponents in field order; ValueError
         past the limit."""
@@ -379,7 +376,7 @@ def _poly_element(g: Polynomial, order: Order) -> _Element:
     under another encoding."""
     packing = order._packing
     cached = g._ints
-    if cached is None or cached[0] != packing:
+    if cached is None or cached[0].layout != packing.layout:
         ints = _primitive(_integers({0: g.terms}, packing)[0])[0]
         cached = g._ints = (packing, max(ints), ints)
     _, lead, ints = cached
