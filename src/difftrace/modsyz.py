@@ -10,10 +10,16 @@ under a position-over-term order eliminates the first p coordinates.
 
 syzygies builds that module on integers and runs it through the Buchberger
 engine of groebner.py, the one that ideals use as rank-1 modules.  The
-(f e_r, 0), for f in the reduced Groebner basis of I, already form a reduced
-basis of I*S^p, so they seed the engine and no pair among them is made; only
-the part of the basis leading in the last q coordinates, the kernel part, is
-made reduced, and Fractions are formed only for the kernel columns.
+module also holds the (0, f e_j), since the kernel holds I*S^q.  So the
+(f e_r), for f in the reduced Groebner basis of I and r any of the p + q
+positions, are a reduced basis of I*S^(p+q) inside it: they seed the engine
+and no pair among them is made.  Only the part of the basis leading in the
+last q coordinates, the kernel part, is made reduced, and Fractions are
+formed only for the kernel columns.  At each of those positions the lead
+module holds every lead of I, so no term of a reduced kernel element is
+divisible by a lead of I, except its own lead when that lead is exactly one
+of I's.  Only the elements leading there are reduced modulo I (the tag
+pass), and one that is its own seed f e_j is dropped unreduced.
 module_groebner and vector_normal_form take and give {position: Polynomial}
 maps with Fraction coefficients and no zero components; inside, a basis
 element is its primitive integer vector and every reduction runs in the
@@ -107,12 +113,19 @@ def syzygies(rows: Sequence[Sequence[Polynomial]], algebra: GradedAlgebra,
     The matrix is given by rows (p of them, each of length q); the result is a
     list of distinct nonzero length-q columns v with rows * v = 0 modulo the
     defining ideal I, with entries in normal form, sorted by their strings.
-    They are read off the module generated by (B e_j, e_j) and (f e_r, 0),
-    for f in the reduced Groebner basis of I and r < p.  The (f e_r, 0) seed
-    the engine as the reduced basis of I*S^p that they are; each (B e_j, e_j)
-    enters reduced against them.  The kernel columns are the elements of the
-    module's reduced basis that lead at a position >= p, and only those are
-    made reduced; their entries are then reduced modulo I.
+    They are read off the module generated by (B e_j, e_j) and the (f e_r),
+    for f in the reduced Groebner basis of I and r any position: the ones at
+    r < p make the module, and the ones at the tag positions p + j lie in it,
+    as the kernel holds I*S^q.  Together they seed the engine as the reduced
+    basis of I*S^(p+q) that they are; each (B e_j, e_j) enters reduced
+    against them.  The kernel columns are the elements of the module's
+    reduced basis that lead at a position >= p, and only those are made
+    reduced.  The lead module there holds each lead of I at each tag
+    position, so no term of such an element is divisible by a lead of I
+    unless it is the element's own lead and equals one.  Only those
+    elements, leading at a defining lead, are reduced modulo I; an element
+    equal to its seed f e_j is dropped without being reduced.  The others
+    are already in normal form.
     """
     sig = algebra.sig
     order = default_order(sig)
@@ -131,7 +144,8 @@ def syzygies(rows: Sequence[Sequence[Polynomial]], algebra: GradedAlgebra,
 
     budget = current_budget()
     packing = order._packing
-    block = _quotient_block(algebra, order, range(p))
+    tagged = _quotient_block(algebra, order, range(p, p + q))
+    block = _quotient_block(algebra, order, range(p)) + tagged
     buckets = _buckets(block, packing)
     one = Polynomial.one(sig).terms
     elements = list(block)
@@ -143,15 +157,20 @@ def syzygies(rows: Sequence[Sequence[Polynomial]], algebra: GradedAlgebra,
         elements.append(_element(_primitive(remainder)))
     kernel = _groebner(elements, len(block), order, budget, first_kept=p)
 
-    tags = _buckets(_quotient_block(algebra, order, range(p, p + q)), packing)
+    # the seed at each tag position, by its lead
+    seeds = {(pos, lm): ints for pos, lm, ints, _ in tagged}
+    tags = _buckets(tagged, packing)
     columns: dict[tuple[str, ...], Column] = {}
-    for _, _, ints, lead in kernel:
-        remainder, den = _reduce({i: dict(comp) for i, comp in ints.items()}, lead,
-                                 tags, packing, budget)
-        if not remainder:
-            continue
-        column = tuple(Polynomial._of(sig, _fractions(remainder.get(p + j, {}), den,
-                                                      packing))
+    for pos, lm, ints, den in kernel:
+        seed = seeds.get((pos, lm))
+        if seed is not None:
+            if ints == seed:
+                continue
+            ints, den = _reduce({i: dict(comp) for i, comp in ints.items()}, den,
+                                tags, packing, budget)
+            if not ints:
+                continue
+        column = tuple(Polynomial._of(sig, _fractions(ints.get(p + j, {}), den, packing))
                        for j in range(q))
         columns.setdefault(tuple(str(e) for e in column), column)
     return [columns[key] for key in sorted(columns)]
@@ -252,7 +271,10 @@ def trace_ideal(P: ModulePresentation) -> IdealHandle:
     """Sum of the images of all maps from the presented module to the ring.
 
     Generated by every entry of every kernel column of the transposed
-    relation matrix, lifted together with the defining ideal.
+    relation matrix, lifted together with the defining ideal.  The kernel
+    depends only on the span of the relation columns, so a presentation
+    reduced to a Q-basis of its columns gives the same generators, in the
+    same order, from a smaller module (`traces.diff_trace` passes one).
     """
     algebra = P.algebra
     entries = list(dict.fromkeys(entry for col in kernel_columns(P)

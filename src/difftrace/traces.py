@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import itertools
 
-from .graded import trace_contains
-from .groebner import IdealHandle, radical_membership
+from .graded import _insert, trace_contains
+from .groebner import IdealHandle, current_budget, radical_membership
 from .modsyz import (
     ModulePresentation,
     exterior_power_presentation,
@@ -59,6 +59,10 @@ def diff_trace(S: GradedAlgebra, power: int) -> IdealHandle:
 
     Power zero gives the unit ideal; powers beyond the embedding dimension
     give the lift of the zero ideal.  Results are cached on the algebra.
+    The wedge presentation keeps only its first Q-independent relation
+    columns (`_column_basis`): the kernel, and so every generator, depends
+    only on their span, and each dropped column is one module position less
+    in the kernel's Groebner basis.
     """
     if power < 0:
         raise ValueError("exterior power degree cannot be negative")
@@ -68,9 +72,29 @@ def diff_trace(S: GradedAlgebra, power: int) -> IdealHandle:
             cached = S.unit_ideal()
         else:
             omega = kaehler_presentation(S)
-            cached = trace_ideal(exterior_power_presentation(omega, power))
+            wedge = exterior_power_presentation(omega, power)
+            cached = trace_ideal(_column_basis(wedge))
         S._trace_cache[power] = cached
     return cached
+
+
+def _column_basis(P: ModulePresentation) -> ModulePresentation:
+    """P with only its first Q-independent relation columns, in order.
+
+    Each column is a row {(t, monomial): coefficient} of an echelon form
+    over Q; a column that reduces to zero against the earlier ones is
+    dropped.  Every row subtraction ticks the ambient budget.
+    """
+    budget = current_budget()
+    pivots: dict = {}
+    kept = []
+    for column in P.columns:
+        rank = len(pivots)
+        _insert(pivots, {(t, m): c for t, entry in enumerate(column)
+                         for m, c in entry.terms.items()}, budget)
+        if len(pivots) > rank:
+            kept.append(column)
+    return ModulePresentation(P.algebra, P.target_rank, tuple(kept))
 
 
 def _graded_trace_contains(S: GradedAlgebra, power: int,
