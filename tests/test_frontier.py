@@ -2,13 +2,16 @@
 
 The 2x4 Segre cone (the 2x2 minors of a generic 2x4 matrix, variables in
 row-major order) is the smallest cone whose top trace is a real module
-Groebner basis of the frontier kind: 8 variables, target rank 56.  The pin
-counts only the trace ("trace only": `diff_trace`, without
+Groebner basis of the frontier kind: 8 variables, target rank 56.  The 3x3
+Segre cone is the next one up: 9 variables, target rank 126, about 0.3 s.
+Each pin counts only the trace ("trace only": `diff_trace`, without
 `presented_generators`): the defining ideal's basis and the dimension are
 computed before the budget opens.  The stored generator strings are the
 trace entries `trace_ideal` returns, in its order.  A rewrite of the
 reduction kernel that makes the same reductions leaves both as they are.
-`tests/data/frontier.json` only gets entries appended.  To print an entry
+`tests/data/frontier.json` only gets entries appended; a stored step count
+moves only when the engine's pairs or reductions change, and the generator
+strings never do.  To print the entries
 from the code on the path (only from code whose output is trusted):
 
     PYTHONPATH=src python tests/test_frontier.py
@@ -37,7 +40,8 @@ def segre(p: int, q: int) -> GradedAlgebra:
     return GradedAlgebra(sig, matrix_minors(rows, 2, sig))
 
 
-CONES = {"top trace segre 2x4": lambda: segre(2, 4)}
+CONES = {"top trace segre 2x4": lambda: segre(2, 4),
+         "top trace segre 3x3": lambda: segre(3, 3)}
 
 
 def top_trace(name: str) -> dict:
