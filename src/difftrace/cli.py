@@ -4,10 +4,11 @@ Subcommands: trace, classify, singular, prank, tensor, fiber, sr, veronese.
 Global flags: --json for machine output (deterministic, sorted keys),
 --max-steps for the shared step budget, --order to pin the monomial order.
 
-Exit codes: 0 success, 1 internal error, 2 malformed input (ring file,
-polynomial or facet syntax, an argument out of range, colliding variable
-names), 3 step budget exceeded, 4 assumption violation.  In machine mode nothing is printed on a
-nonzero exit except the error on stderr.
+Exit codes: 0 success, 1 internal error or an input past the engine's
+degree limit, 2 malformed input (ring file, polynomial or facet syntax, an
+argument out of range, colliding variable names), 3 step budget exceeded,
+4 assumption violation.  In machine mode nothing is printed on a nonzero
+exit except the error on stderr.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .constructions import (
 from .groebner import (
     DEFAULT_MAX_STEPS,
     BudgetExceededError,
+    DegreeLimitError,
     IdealHandle,
     ideal_equals,
     step_budget,
@@ -394,6 +396,9 @@ def main(argv=None) -> int:
     except (RingFileError, ParseError, NameCollisionError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except DegreeLimitError as exc:
+        print(f"error: input past a documented limit: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except ValueError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

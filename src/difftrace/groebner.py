@@ -9,7 +9,7 @@ for the remainder or basis it returns.  Inside the engine each monomial is
 one packed int, whose order is the monomial order; monomials are packed and
 unpacked only where Fractions are read or made.  Packing holds weighted
 degrees up to 16383 in each block of the order (and so every exponent up to
-16383); past that limit the engine raises ValueError.
+16383); past that limit the engine raises DegreeLimitError, a ValueError.
 Monomial orders are weighted graded reverse lexicographic (the default
 everywhere) and a two-block elimination order used by
 eliminate/intersection.  Every S-pair taken for reduction and every
@@ -43,6 +43,12 @@ DEFAULT_MAX_STEPS = 1_000_000
 
 class BudgetExceededError(RuntimeError):
     """The step budget ran out before the computation finished."""
+
+
+class DegreeLimitError(ValueError):
+    """A monomial past the packing's limit of weighted degree 16383 in one
+    block of the order: the input is beyond a documented limit of the
+    engine, and no answer is given for it."""
 
 
 class StepBudget:
@@ -211,8 +217,8 @@ class _Packing:
         self._size = self._fields.size
 
     def _degrees(self, fields: Exponents) -> int:
-        """The degree fields of the exponents in field order; ValueError
-        past the limit."""
+        """The degree fields of the exponents in field order;
+        DegreeLimitError past the limit."""
         out = 0
         for span, weights, offset in self._blocks:
             degree = sum(map(mul, fields[span], weights))
@@ -243,8 +249,8 @@ class _Packing:
         return low | self._degrees(fields)
 
     @staticmethod
-    def overflow() -> ValueError:
-        return ValueError(
+    def overflow() -> DegreeLimitError:
+        return DegreeLimitError(
             f"a monomial of weighted degree above {_MAX_DEGREE} in one block of "
             f"the monomial order: the Groebner engine holds monomials up to "
             f"weighted degree {_MAX_DEGREE}")
@@ -316,7 +322,7 @@ def _reduce(vec: _IntVector, den: int, buckets: dict[int, list[_Reducer]],
     Monomials are packed ints: the largest term is max(work), a reducer's
     lead divides it when one subtract-and-mask keeps the variable guards,
     and a dragged-in term is one addition.  Each term taken is checked
-    against the degree limit (ValueError beyond it).  Under weighted
+    against the degree limit (DegreeLimitError beyond it).  Under weighted
     grevlex a step never raises the degree at its own position, but the
     second block of the elimination order, or a later position of a module,
     can grow.  A term past the limit still packs without a borrow, as both
@@ -459,7 +465,7 @@ def _groebner(elements: list[_Element], first_new: int, order: Order,
     no S-vector, and are taken in ascending (lcm, made) order.  Leads and
     lcms are packed monomials, so the lcm, each divisibility test and the
     coprime test are a few integer operations, and an lcm past the degree
-    limit raises ValueError.  Each element
+    limit raises DegreeLimitError.  Each element
     is installed by the update of Gebauer and Moeller (J. Symbolic Comput.
     6, 1988).  B: a pending pair is dropped when the new lead divides its
     lcm and differs from both lcms with the new element.  M and F: of the

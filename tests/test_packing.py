@@ -3,8 +3,9 @@
 Each order's packed encoding must agree with the order's key, multiply by
 addition, test divisibility by its guard bits and unpack to what was
 packed.  Beyond the limit of weighted degree 16383 per block of the order,
-the engine raises a ValueError that names the limit, through the library
-and through the CLI, instead of wrapping a field into a wrong answer.
+the engine raises DegreeLimitError, a ValueError that names the limit,
+through the library and through the CLI (exit 1, as an input past the
+limit), instead of wrapping a field into a wrong answer.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from difftrace.cli import main
 from difftrace.groebner import (
     BlockOrder,
+    DegreeLimitError,
     IdealHandle,
     WeightedGrevlex,
     buchberger,
@@ -82,7 +84,7 @@ XY = RingSignature.standard("x", "y")
 
 
 def test_input_beyond_the_limit_raises():
-    with pytest.raises(ValueError, match=str(LIMIT)):
+    with pytest.raises(DegreeLimitError, match=str(LIMIT)):
         buchberger(parse_many(["x^16384 - y"], XY), WeightedGrevlex((1, 1)))
     assert len(buchberger(parse_many(["x^16383 - y"], XY), WeightedGrevlex((1, 1)))) == 1
 
@@ -123,9 +125,9 @@ def test_cli_reports_the_limit(tmp_path):
     assert code == 1
     assert out.getvalue() == ""
     assert err.getvalue() == (
-        "internal error: a monomial of weighted degree above 16383 in one block "
-        "of the monomial order: the Groebner engine holds monomials up to "
-        "weighted degree 16383\n")
+        "error: input past a documented limit: a monomial of weighted degree "
+        "above 16383 in one block of the monomial order: the Groebner engine "
+        "holds monomials up to weighted degree 16383\n")
 
 
 def test_cached_reducer_follows_the_encoding():
