@@ -161,6 +161,13 @@ def _rank(rows) -> int:
     return len(pivots)
 
 
+def oracle_column_rank(columns) -> int:
+    """The dimension over Q of the span of relation columns, each column
+    read as its coefficients {(t, monomial): c}."""
+    return _rank({(t, e): c for t, entry in enumerate(column)
+                  for e, c in entry.terms.items()} for column in columns)
+
+
 class QuotientSlices:
     """The graded pieces R_d of R = Q[x]/(gens), with standard monomials as
     bases: the monomials of degree d that lead no pivot row of I_d."""

@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import make_ring, ring_powers, wedge_shifts
 from oracles import (
     QuotientSlices,
+    oracle_column_rank,
     oracle_in_kernel,
     oracle_in_span,
     oracle_kernel_dimension,
@@ -31,7 +33,7 @@ from difftrace.modsyz import (
 from difftrace.groebner import default_order, normal_form_raw
 from difftrace.poly import Polynomial, RingSignature, parse_many, parse_polynomial
 from difftrace.ringfile import load_ring
-from difftrace.traces import kaehler_presentation
+from difftrace.traces import _column_basis, diff_trace, kaehler_presentation
 
 # the oracle solves the kernel in degrees up to this (a map of degree delta
 # sends e_T, of degree sum(w_i for i in T), to an element of degree
@@ -39,6 +41,7 @@ from difftrace.traces import kaehler_presentation
 KERNEL_ORACLE_MAX_DELTA = 4
 
 XY = RingSignature.standard("x", "y")
+TWISTED = Path(__file__).resolve().parent / "data" / "rings" / "twisted.ring"
 
 
 def residue(p, algebra):
@@ -194,6 +197,100 @@ class TestSyzygiesAgainstModuleBasis:
         K = syzygies(rows, algebra)
         assert K == module_syzygies(rows, algebra, 2)
         assert [[str(e) for e in col] for col in K] == expected
+
+
+class TestTagPass:
+    def test_kernel_element_at_a_defining_lead(self):
+        """Over Q[x, y]/(x^3 - y^2), weights 2 and 3, x^3 leads the defining
+        generator.  The reduced kernel basis of the row (1, y) holds
+        x^3 e_0 - y e_1, which leads at that defining lead and is not the
+        seed (x^3 - y^2) e_0; reduced modulo I it gives (y^2, -y)."""
+        cusp = make_ring(["x", "y"], [2, 3], ["x^3 - y^2"])
+        rows = [parse_many(["1", "y"], cusp.sig)]
+        K = syzygies(rows, cusp)
+        assert [[str(e) for e in col] for col in K] == [["y", "-1"], ["y^2", "-y"]]
+        assert K == module_syzygies(rows, cusp, 2)
+
+
+def scaled(column, c):
+    return tuple(e.scale(c) for e in column)
+
+
+def combined(a, b, c):
+    """a + c * b, entry by entry."""
+    return tuple(x + y.scale(c) for x, y in zip(a, b))
+
+
+def independent_prefix(columns) -> list:
+    """The columns that are not Q-combinations of the ones before them."""
+    return [col for i, col in enumerate(columns)
+            if oracle_column_rank(columns[:i + 1]) > oracle_column_rank(columns[:i])]
+
+
+def assert_same_kernel(P: ModulePresentation, padded: ModulePresentation):
+    """padded holds P's columns and dependent ones: its column basis keeps
+    exactly the first independent columns, and the kernel columns and trace
+    generators of padded, of that basis and of P agree, in order."""
+    basis = _column_basis(padded)
+    assert list(basis.columns) == independent_prefix(padded.columns)
+    assert len(basis.columns) == oracle_column_rank(P.columns)
+    K = kernel_columns(P)
+    assert kernel_columns(basis) == K
+    assert kernel_columns(padded) == K
+    gens = trace_ideal(P).gens
+    assert trace_ideal(basis).gens == gens
+    assert trace_ideal(padded).gens == gens
+
+
+WEDGE_RINGS = (
+    make_ring(["x", "y"], [1, 1], ["x*y"]),
+    make_ring(["x", "y"], [2, 3], ["x^3 - y^2"]),
+    make_ring(["a", "b", "c"], [1, 1, 1], ["a*c - b^2"]),
+    make_ring(["x", "y", "z"], [1, 1, 1], ["x*y", "x*z"]),
+)
+WEDGES = tuple(exterior_power_presentation(kaehler_presentation(algebra), k)
+               for algebra in WEDGE_RINGS for k in range(1, algebra.nvars + 1))
+
+
+@st.composite
+def padded_wedges(draw):
+    """A wedge presentation of the differentials, and the same presentation
+    with a repeated column, a scalar multiple of a column and a
+    Q-combination of two columns inserted among its columns."""
+    P = draw(st.sampled_from([P for P in WEDGES if P.columns]))
+    columns = list(P.columns)
+    pick = st.sampled_from(P.columns)
+    scalar = st.sampled_from([Fraction(-1), Fraction(2), Fraction(-3, 2), Fraction(5, 3)])
+    extra = [draw(pick), scaled(draw(pick), draw(scalar)),
+             combined(draw(pick), draw(pick), draw(scalar))]
+    for column in extra:
+        columns.insert(draw(st.integers(0, len(columns))), column)
+    return P, ModulePresentation(P.algebra, P.target_rank, tuple(columns))
+
+
+class TestColumnBasis:
+    """The kernel depends only on the span of the relation columns, so
+    diff_trace hands trace_ideal the first Q-independent ones."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(padded_wedges())
+    def test_dependent_columns_change_nothing(self, case):
+        assert_same_kernel(*case)
+
+    def test_twisted_cubic_wedge(self):
+        """The third wedge of the twisted cubic's differentials has 18
+        relation columns of Q-rank 15; three more dependent ones are
+        inserted, one of them ahead of the columns it repeats."""
+        algebra = load_ring(str(TWISTED)).algebra
+        P = exterior_power_presentation(kaehler_presentation(algebra), 3)
+        c = P.columns
+        assert (len(c), oracle_column_rank(c)) == (18, 15)
+        padded = list(c)
+        padded.insert(0, c[5])
+        padded.insert(3, scaled(c[0], Fraction(-3, 2)))
+        padded.insert(8, combined(c[2], c[7], Fraction(5, 3)))
+        assert_same_kernel(P, ModulePresentation(algebra, P.target_rank, tuple(padded)))
+        assert diff_trace(algebra, 3).gens == trace_ideal(P).gens
 
 
 class TestKernelCompleteness:
