@@ -168,8 +168,6 @@ def syzygies(rows: Sequence[Sequence[Polynomial]], algebra: GradedAlgebra,
                 continue
             ints, den = _reduce({i: dict(comp) for i, comp in ints.items()}, den,
                                 tags, packing, budget)
-            if not ints:
-                continue
         column = tuple(Polynomial._of(sig, _fractions(ints.get(p + j, {}), den, packing))
                        for j in range(q))
         columns.setdefault(tuple(str(e) for e in column), column)
