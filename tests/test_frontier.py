@@ -4,6 +4,8 @@ The 2x4 Segre cone (the 2x2 minors of a generic 2x4 matrix, variables in
 row-major order) is the smallest cone whose top trace is a real module
 Groebner basis of the frontier kind: 8 variables, target rank 56.  The 3x3
 Segre cone is the next one up: 9 variables, target rank 126, about 0.3 s.
+The Veronese of P^3 in degree 2 and the Veronese of P^2 in degree 3 (10
+variables each) are the largest top traces pinned.
 Each pin counts only the trace ("trace only": `diff_trace`, without
 `presented_generators`): the defining ideal's basis and the dimension are
 computed before the budget opens.  The stored generator strings are the
@@ -24,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+from difftrace.constructions import veronese_algebra
 from difftrace.groebner import step_budget
 from difftrace.modsyz import matrix_minors
 from difftrace.poly import Polynomial, RingSignature
@@ -40,8 +43,15 @@ def segre(p: int, q: int) -> GradedAlgebra:
     return GradedAlgebra(sig, matrix_minors(rows, 2, sig))
 
 
+def veronese(names: str, degree: int) -> GradedAlgebra:
+    """The degree-c Veronese subring of the polynomial ring on the names."""
+    return veronese_algebra(GradedAlgebra(RingSignature.standard(*names), []), degree)
+
+
 CONES = {"top trace segre 2x4": lambda: segre(2, 4),
-         "top trace segre 3x3": lambda: segre(3, 3)}
+         "top trace segre 3x3": lambda: segre(3, 3),
+         "top trace veronese P3": lambda: veronese("stuv", 2),
+         "top trace veronese P2 degree 3": lambda: veronese("stu", 3)}
 
 
 def top_trace(name: str) -> dict:

@@ -212,6 +212,26 @@ class TestTagPass:
         assert K == module_syzygies(rows, cusp, 2)
 
 
+class TestCoefficientGrowth:
+    """An inhomogeneous row whose kernel swelled the engine's integers
+    while most of its pairs reduced to zero."""
+
+    def test_inhomogeneous_row(self):
+        """The row (yz^2 + z^2, 5/3 y^2 z - 3/2 y, 2xy^2 z - 3/2 yz) over
+        Q[x, y, z]/(x^2 - yz, xy - z^2)."""
+        algebra = make_ring(["x", "y", "z"], [1, 1, 1], ["x^2 - y*z", "x*y - z^2"])
+        rows = [parse_many(["y*z^2 + z^2", "5/3*y^2*z - 3/2*y",
+                            "2*x*y^2*z - 3/2*y*z"], algebra.sig)]
+        K = syzygies(rows, algebra)
+        assert [[str(e) for e in col] for col in K] == [
+            ["0", "0", "y^2 - x*z"],
+            ["0", "z^3 - 3/4*z", "-5/6*y*z + 3/4"],
+            ["1", "1000/819*x*z^2 + 400/273*y*z^2 + 100/91*x*z + 120/91*y*z"
+                  " + 144/91*z^2 + 2/3*x + 120/91*z",
+             "-1000/819*x*z - 2500/2457*z^2 - 100/91*x - 120/91*y"
+             " - 250/273*z - 120/91"]]
+
+
 def scaled(column, c):
     return tuple(e.scale(c) for e in column)
 
