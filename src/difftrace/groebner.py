@@ -3,7 +3,9 @@
 All computations are exact.  Polynomials in and out carry Fraction
 coefficients.  One Buchberger engine (`_groebner`) computes Groebner bases
 for ideals here and for modules in modsyz.py: an ideal is the rank-1 module
-at position 0.  Division with remainder runs in one kernel (`_reduce`) on
+at position 0.  Kernels (modsyz.syzygies) run a signature-based loop
+instead (`_syzygy_basis`), on the same elements and with the same final
+sweep.  Division with remainder runs in one kernel (`_reduce`) on
 integer coefficients over one common denominator, and forms Fractions only
 for the remainder or basis it returns.  Inside the engine each monomial is
 one packed int, whose order is the monomial order; monomials are packed and
@@ -12,9 +14,9 @@ degrees up to 16383 in each block of the order (and so every exponent up to
 16383); past that limit the engine raises DegreeLimitError, a ValueError.
 Monomial orders are weighted graded reverse lexicographic (the default
 everywhere) and a two-block elimination order used by
-eliminate/intersection.  Every S-pair taken for reduction and every
-reduction step ticks a step budget, so runaway computations surface as
-BudgetExceededError instead of hanging.
+eliminate/intersection.  Every S-pair or J-pair taken for reduction and
+every reduction step ticks a step budget, so runaway computations surface
+as BudgetExceededError instead of hanging.
 """
 
 from __future__ import annotations
@@ -54,10 +56,11 @@ class DegreeLimitError(ValueError):
 class StepBudget:
     """Counts steps; tick() raises once the limit is exhausted.
 
-    A step is one S-pair taken for reduction, one reduction step, or one
-    row subtraction of the graded solver (graded.py).  A pair that a
-    criterion drops costs nothing, and so does a pair above the degree that
-    a minimalization needs (minimalize_homogeneous): it is never taken.
+    A step is one S-pair or J-pair taken for reduction, one reduction step,
+    or one row subtraction of the graded solver (graded.py).  A pair that a
+    criterion drops costs nothing, the signature criteria of a kernel
+    (`_syzygy_basis`) included, and so does a pair above the degree that a
+    minimalization needs (minimalize_homogeneous): it is never taken.
     """
 
     __slots__ = ("limit", "used")
@@ -348,32 +351,43 @@ def _reduce(vec: _IntVector, den: int, buckets: dict[int, list[_Reducer]],
                 done[mono] = work.pop(mono)
                 continue
             budget.tick()
-            # g takes the sign of lead, so a lead of -1 rescales nothing
-            g = gcd(coef, lead)
-            if lead < 0:
-                g = -g
-            scale = lead // g
-            coef //= g
-            if scale != 1:
-                den *= scale
-                for comp in (work, *vec.values(), *remainder.values()):
-                    for e in comp:
-                        comp[e] *= scale
-            shift = mono - lm
-            for i, terms in red.items():
-                target = work if i == pos else vec.setdefault(i, {})
-                for e, c in terms.items():
-                    t = e + shift
-                    v = target.get(t, 0) - coef * c
-                    if v:
-                        target[t] = v
-                    else:
-                        del target[t]
-                if not target and i != pos:
-                    del vec[i]
+            den = _cancel(vec, remainder, pos, work, mono, coef, den, lm, red, lead)
         if not done:
             del remainder[pos]
     return remainder, den
+
+
+def _cancel(vec: _IntVector, remainder: _IntVector, pos: int, work: dict[int, int],
+            mono: int, coef: int, den: int, lm: int, red: _IntVector, lead: int) -> int:
+    """One reduction step: cancel the term coef*mono of work, the part of
+    the vector at position pos, against a reducer with lead coefficient
+    lead at monomial lm; returns the new denominator.  The vector and the
+    remainder so far are multiplied by lead/gcd(coef, lead), so no step
+    leaves the integers."""
+    # g takes the sign of lead, so a lead of -1 rescales nothing
+    g = gcd(coef, lead)
+    if lead < 0:
+        g = -g
+    scale = lead // g
+    coef //= g
+    if scale != 1:
+        den *= scale
+        for comp in (work, *vec.values(), *remainder.values()):
+            for e in comp:
+                comp[e] *= scale
+    shift = mono - lm
+    for i, terms in red.items():
+        target = work if i == pos else vec.setdefault(i, {})
+        for e, c in terms.items():
+            t = e + shift
+            v = target.get(t, 0) - coef * c
+            if v:
+                target[t] = v
+            else:
+                del target[t]
+        if not target and i != pos:
+            del vec[i]
+    return den
 
 
 def _poly_element(g: Polynomial, order: Order) -> _Element:
@@ -439,20 +453,11 @@ def _monic_polynomial(sig: RingSignature, element: _Element, order: Order) -> Po
 
 
 def _groebner(elements: list[_Element], first_new: int, order: Order,
-              budget: StepBudget, first_kept: int = 0,
-              max_degree: int | None = None) -> list[_Element]:
+              budget: StepBudget, max_degree: int | None = None) -> list[_Element]:
     """The reduced Groebner basis of the module the elements generate, as
     primitive elements in increasing lead order.  The first `first_new`
     elements must already form a reduced basis: they enter the pairing sets
     with no pairs, so only pairs with a later element are made.
-
-    Only the elements leading at a position >= `first_kept` are made
-    minimal, reduced and returned; the rest serve as reducers while pairs
-    run and are then dropped.  The result is exactly the part of the
-    reduced basis that leads at those positions: under position over term,
-    an element leading at a position >= first_kept has terms only at such
-    positions, so only elements leading there can reduce it, and the
-    minimal-lead filter compares leads within one position.
 
     With `max_degree`, no pair whose lcm has weighted degree above it is
     taken, and the result is a truncated basis: it decides membership of
@@ -534,22 +539,178 @@ def _groebner(elements: list[_Element], first_new: int, order: Order,
         if remainder:
             install(_element(_primitive(remainder)))
 
-    # minimal leads, then tails in increasing lead order: every reducer a
-    # tail can see is final, so one sweep reaches the reduced basis.  Only
-    # an input can have a lead that an earlier lead of its pairing set divides.
-    kept = [basis[i] for pos, group in pairing.items() if pos >= first_kept
-            for i in group
-            if not any(j != i and ((basis[j][1] | guards) - basis[i][1]) & dividing
-                       == dividing for j in group)]
-    kept.sort(key=lambda e: (-e[0], e[1]))
+    # only an input can have a lead that another lead of its pairing set
+    # divides
+    return _interreduce([basis[i] for group in pairing.values() for i in group],
+                        packing, budget)
+
+
+def _interreduce(elements: list[_Element], packing: _Packing,
+                 budget: StepBudget) -> list[_Element]:
+    """The reduced Groebner basis of the module that a Groebner basis
+    generates, in increasing lead order.  One sweep in increasing lead
+    order drops each element whose lead a kept lead divides (the later of
+    two equal leads) and reduces the tails of the others: every reducer a
+    tail can see is final, so the sweep reaches the reduced basis."""
+    guards, dividing = packing.guards, packing.dividing
+    kept: list[_Element] = []
     reducers: dict[int, list[_Reducer]] = {}
-    for i, (_, _, ints, _) in enumerate(kept):
+    for pos, lead, ints, _ in sorted(elements, key=lambda e: (-e[0], e[1])):
+        bucket = reducers.setdefault(pos, [])
+        if any((guarded - lead) & dividing == dividing for guarded, *_ in bucket):
+            continue
         remainder, _ = _reduce({p: dict(comp) for p, comp in ints.items()}, 1,
                                reducers, packing, budget)
-        kept[i] = _element(_primitive(remainder))
-        reducers.setdefault(kept[i][0], []).append((kept[i][1] | guards, *kept[i][1:]))
+        kept.append(_element(_primitive(remainder)))
+        bucket.append((lead | guards, *kept[-1][1:]))
     kept.sort(key=lambda e: (e[0], e[1]))
     return kept
+
+
+def _syzygy_basis(base: list[_Element], inputs: list[_Element], known: list[_Element],
+                  first_tag: int, order: Order, budget: StepBudget) -> list[_Element]:
+    """The reduced Groebner basis of the syzygies of the inputs modulo the
+    base, by a signature-based loop (Gao, Volny and Wang, Math. Comp. 85,
+    2016).
+
+    Positions below `first_tag` hold values and the others tags.  The base
+    is a reduced basis of a module at the value positions.  Each input has a
+    tag part; `known` are elements at the tag positions only, whose tags are
+    syzygies (they send the inputs' values into the base's module).  The
+    result is the reduced basis of every tag part with value zero.
+
+    An element's signature is the lead (position, monomial) of its tag
+    part, in the module order (a smaller position is larger).  The base
+    reduces values with a signature below every tag and makes no pair
+    inside it (Eder and Perry, J. Symbolic Comput. 45, 2010).  H holds the
+    leads of the syzygies known so far: those of `known`, then each one
+    found.  Inputs and J-pairs are taken in increasing (signature, lcm)
+    order.  For a new element g and each reducer r leading at g's value
+    position, with L the lcm of their leads, the J-pair's signature T is the
+    larger of (L/lm g) sig g and (L/lm r) sig r; if the two are equal no
+    pair is made.  A pair is dropped when a lead in H divides T (the
+    syzygy criterion, checked when the pair is made and when it is taken),
+    or when it is covered: some element g' has sig g' | T and
+    (T/sig g') lm g' < L.  A taken pair's S-vector has signature T and a
+    value lead below L.  Only that lead is reduced, and only by a reducer
+    whose multiplied signature is below T, so the tag part keeps its lead
+    T.  A reducer with multiplied signature T and the same lead would have
+    covered the pair, so none is met.  A value reduced to zero leaves a
+    syzygy with lead T, added to H; any other element joins the reducers.
+
+    Nothing is missed.  Take a minimal lead T of the syzygies, not in H at
+    the end, and all multiples t g' with t sig g' = T (an input's multiple
+    is one).  Choose the one with the smallest value lead t lm g'.  Were
+    that lead regular-reducible by r, the J-pair of g' and r would have a
+    signature dividing T.  Taking it, or the element that covers it, would
+    give a multiple with signature T and a smaller value lead, or put a
+    divisor of T in H.  So it is not; then a syzygy with lead T, less a
+    multiple of t g', has a smaller signature and the same value lead,
+    which the pairs below T make regular-reducible: a contradiction.  So
+    the syzygies found and `known` are a Groebner basis of the syzygies;
+    the sweep of `_interreduce` makes it reduced, keeping an element of
+    `known` over a syzygy found with the same lead.
+
+    One step is one J-pair taken or one reduction step; dropped pairs cost
+    nothing.  Signatures are packed monomials keyed by position, so their
+    products get the degree-limit check of every lcm.
+    """
+    packing = order._packing
+    guards, dividing, over = packing.guards, packing.dividing, packing.over
+    lcm_of = packing.lcm
+    width = 8 * packing._size
+    mask = (1 << width) - 1
+    last = max(max(ints) for _, _, ints, _ in inputs + known)
+
+    def key(pos: int, mono: int) -> int:
+        """A (position, monomial) as one int in the module order."""
+        return (last - pos) << width | mono
+
+    below = -1 << (width + 1)  # the base's signature, under every tag
+    buckets: dict[int, list] = {}  # reducers: (guarded, lm, ints, coef, signature)
+    for pos, lead, ints, coef in base:
+        buckets.setdefault(pos, []).append((lead | guards, lead, ints, coef, below))
+    # by signature position: H as guarded leads, and the elements as
+    # (guarded signature, signature, value lead key)
+    syzygies: dict[int, list[int]] = {}
+    for pos, lead, _, _ in known:
+        syzygies.setdefault(pos, []).append(lead | guards)
+    signed: dict[int, list[tuple[int, int, int]]] = {}
+    found: list[_Element] = []
+    heap: list = []
+    counter = itertools.count()
+
+    def dropped(pos: int, mono: int) -> bool:
+        """The syzygy criterion."""
+        return any((h - mono) & dividing == dividing for h in syzygies.get(pos, ()))
+
+    for element in inputs:
+        pos = min(i for i in element[2] if i >= first_tag)
+        heapq.heappush(heap, (key(pos, max(element[2][pos])), -1, next(counter),
+                              element, None, 0))
+
+    while heap:
+        sig, lead_key, _, a, b, lcm = heapq.heappop(heap)
+        pos, mono = last - (sig >> width), sig & mask
+        if dropped(pos, mono):
+            continue
+        if b is None:
+            vec = {i: dict(comp) for i, comp in a[2].items()}
+        else:
+            if any((g - mono) & dividing == dividing and v + mono - m < lead_key
+                   for g, m, v in signed.get(pos, ())):
+                continue
+            budget.tick()
+            vec = _s_vector(a[:4], b[:4], lcm)
+        element = _element(_primitive(
+            _regular_reduce(vec, sig, buckets, first_tag, packing, budget)))
+        if element[0] >= first_tag:
+            syzygies.setdefault(pos, []).append(mono | guards)
+            found.append(element)
+            continue
+        # a new reducer: its J-pairs with the reducers at its lead position
+        at, lead = element[0], element[1]
+        new = (lead | guards, lead, element[2], element[3], sig)
+        bucket = buckets.setdefault(at, [])
+        for r in bucket:
+            lcm = lcm_of(lead, r[1])
+            mine, theirs = sig + lcm - lead, r[4] + lcm - r[1]
+            if mine == theirs:
+                continue
+            top = max(mine, theirs)
+            if top & over:
+                raise packing.overflow()
+            if not dropped(last - (top >> width), top & mask):
+                heapq.heappush(heap, (top, key(at, lcm), next(counter), new, r, lcm))
+        bucket.append(new)
+        signed.setdefault(pos, []).append((mono | guards, mono, key(at, lead)))
+    return _interreduce(known + found, packing, budget)
+
+
+def _regular_reduce(vec: _IntVector, sig: int, buckets: dict[int, list],
+                    first_tag: int, packing: _Packing, budget: StepBudget) -> _IntVector:
+    """vec, of signature sig, with its value lead regular-reduced as far as
+    it goes (see _syzygy_basis).  The value tails and the positions from
+    `first_tag` on stay unreduced; vec is consumed."""
+    dividing, over = packing.dividing, packing.over
+    while True:
+        pos = min(vec)
+        if pos >= first_tag:
+            return vec
+        work = vec.pop(pos)
+        mono = max(work)
+        if mono & over:
+            raise packing.overflow()
+        for guarded, lm, red, lead, signature in buckets.get(pos, ()):
+            if (guarded - mono) & dividing == dividing and signature + mono - lm < sig:
+                break
+        else:
+            vec[pos] = work
+            return vec
+        budget.tick()
+        _cancel(vec, {}, pos, work, mono, work[mono], 1, lm, red, lead)
+        if work:
+            vec[pos] = work
 
 
 def buchberger(gens: Iterable[Polynomial], order: Order) -> tuple[Polynomial, ...]:

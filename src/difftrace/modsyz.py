@@ -8,18 +8,24 @@ ring as Singular's `modulo` does: the module generated by the columns
 q coordinates in exactly the v with Bv in I*R^p, and a module Groebner basis
 under a position-over-term order eliminates the first p coordinates.
 
-syzygies builds that module on integers and runs it through the Buchberger
-engine of groebner.py, the one that ideals use as rank-1 modules.  The
-module also holds the (0, f e_j), since the kernel holds I*S^q.  So the
-(f e_r), for f in the reduced Groebner basis of I and r any of the p + q
-positions, are a reduced basis of I*S^(p+q) inside it: they seed the engine
-and no pair among them is made.  Only the part of the basis leading in the
-last q coordinates, the kernel part, is made reduced, and Fractions are
-formed only for the kernel columns.  At each of those positions the lead
-module holds every lead of I, so no term of a reduced kernel element is
-divisible by a lead of I, except its own lead when that lead is exactly one
-of I's.  Only the elements leading there are reduced modulo I (the tag
-pass), and one that is its own seed f e_j is dropped unreduced.
+syzygies builds that module on integers and runs it through a
+signature-based loop in groebner.py (`_syzygy_basis`).  The tag part of an
+element, its last q coordinates, is the v it holds; its signature is the
+lead of that part.  The (f e_r), for f in the reduced Groebner basis of I
+and r < p, are a reduced basis of I*S^p: they reduce the values with a
+signature below every tag, and no pair among them is made.  The module
+also holds the (0, f e_j), since the kernel holds I*S^q: their leads are
+the first known syzygy leads, and a pair whose signature one of them
+divides is never taken.  Nor is a pair that an element of smaller value
+lead at a dividing signature covers.  So almost no pair reduces to zero:
+a value that does leaves a kernel element whose lead is its signature.
+Those and the I*S^q seed are a Groebner basis of the kernel, made reduced
+by the engine's one final sweep, and Fractions are formed only for the
+kernel columns.  At each tag position the lead module holds every lead of
+I, so no term of a reduced kernel element is divisible by a lead of I,
+except its own lead when that lead is exactly one of I's.  Only the
+elements leading there are reduced modulo I (the tag pass), and one that
+is its own seed f e_j is dropped unreduced.
 module_groebner and vector_normal_form take and give {position: Polynomial}
 maps with Fraction coefficients and no zero components; inside, a basis
 element is its primitive integer vector and every reduction runs in the
@@ -45,6 +51,7 @@ from .groebner import (
     _element,
     _fractions,
     _groebner,
+    _syzygy_basis,
     _integers,
     _poly_element,
     _primitive,
@@ -114,18 +121,24 @@ def syzygies(rows: Sequence[Sequence[Polynomial]], algebra: GradedAlgebra,
     list of distinct nonzero length-q columns v with rows * v = 0 modulo the
     defining ideal I, with entries in normal form, sorted by their strings.
     They are read off the module generated by (B e_j, e_j) and the (f e_r),
-    for f in the reduced Groebner basis of I and r any position: the ones at
-    r < p make the module, and the ones at the tag positions p + j lie in it,
-    as the kernel holds I*S^q.  Together they seed the engine as the reduced
-    basis of I*S^(p+q) that they are; each (B e_j, e_j) enters reduced
-    against them.  The kernel columns are the elements of the module's
-    reduced basis that lead at a position >= p, and only those are made
-    reduced.  The lead module there holds each lead of I at each tag
-    position, so no term of such an element is divisible by a lead of I
-    unless it is the element's own lead and equals one.  Only those
-    elements, leading at a defining lead, are reduced modulo I; an element
-    equal to its seed f e_j is dropped without being reduced.  The others
-    are already in normal form.
+    for f in the reduced Groebner basis of I and r < p, by the signature
+    loop of `groebner._syzygy_basis`: the signature of an element is the
+    lead of its part at the tag positions p + j.  The (f e_r) for r < p are
+    the base, a reduced basis of I*S^p that reduces values below every
+    signature and makes no pair.  The (f e_(p+j)) lie in the module, as
+    the kernel holds I*S^q, and seed H, the leads of the known syzygies;
+    each (B e_j, e_j) enters with signature e_(p+j).  A J-pair is dropped
+    when a lead in H divides its signature, or when an element at a
+    dividing signature has a smaller multiplied value lead; a value lead is
+    reduced only below the element's signature.  Each value reduced to zero
+    leaves a kernel element whose lead is its signature, and those with the
+    seed are a Groebner basis of the kernel (the loop's docstring gives the
+    argument), swept into the reduced basis.  The lead module there holds
+    each lead of I at each tag position, so no term of such an element is
+    divisible by a lead of I unless it is the element's own lead and equals
+    one.  Only those elements, leading at a defining lead, are reduced
+    modulo I; an element equal to its seed f e_j is dropped without being
+    reduced.  The others are already in normal form.
     """
     sig = algebra.sig
     order = default_order(sig)
@@ -145,17 +158,14 @@ def syzygies(rows: Sequence[Sequence[Polynomial]], algebra: GradedAlgebra,
     budget = current_budget()
     packing = order._packing
     tagged = _quotient_block(algebra, order, range(p, p + q))
-    block = _quotient_block(algebra, order, range(p)) + tagged
-    buckets = _buckets(block, packing)
     one = Polynomial.one(sig).terms
-    elements = list(block)
+    inputs = []
     for j in range(q):
         comps = {i: rows[i][j].terms for i in range(p)}
         comps[p + j] = one
-        vec, den = _integers(comps, packing)
-        remainder, _ = _reduce(vec, den, buckets, packing, budget)
-        elements.append(_element(_primitive(remainder)))
-    kernel = _groebner(elements, len(block), order, budget, first_kept=p)
+        inputs.append(_element(_primitive(_integers(comps, packing)[0])))
+    kernel = _syzygy_basis(_quotient_block(algebra, order, range(p)), inputs, tagged,
+                           p, order, budget)
 
     # the seed at each tag position, by its lead
     seeds = {(pos, lm): ints for pos, lm, ints, _ in tagged}

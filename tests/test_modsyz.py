@@ -17,7 +17,7 @@ from oracles import (
     oracle_kernel_dimension,
     oracle_span_dimension,
 )
-from difftrace.groebner import ideal_equals, normal_form
+from difftrace.groebner import ideal_equals, normal_form, step_budget
 from difftrace.modsyz import (
     ModulePresentation,
     exterior_power_presentation,
@@ -132,6 +132,8 @@ DIFF_RINGS = (
     make_ring(["x", "y"], [1, 1], ["2*x^2 - 2*y^2", "x*y"]),
 )
 CONIC = DIFF_RINGS[1]
+# the step budget of one kernel of the differential test
+EXAMPLE_STEPS = 1_000
 
 
 def module_syzygies(rows, algebra, q):
@@ -177,14 +179,29 @@ def small_matrices(draw):
 
 
 class TestSyzygiesAgainstModuleBasis:
-    """syzygies seeds the engine with I*S^p and keeps only the kernel part;
-    it must give the columns, in order, of the plain module basis."""
+    """syzygies runs a signature-based loop over I*S^p and I*S^q; it must
+    give the columns, in order, of the plain module basis."""
 
     @settings(max_examples=150)
     @given(small_matrices())
     def test_columns_equal_module_reference(self, case):
         algebra, rows, q = case
-        assert syzygies(rows, algebra, width=q) == module_syzygies(rows, algebra, q)
+        # the largest example takes 21 steps: the budget turns a runaway
+        # kernel into a failure within seconds
+        with step_budget(EXAMPLE_STEPS):
+            columns = syzygies(rows, algebra, width=q)
+        assert columns == module_syzygies(rows, algebra, q)
+
+    def test_reduction_only_below_the_signature(self):
+        """Over the conic: reducing a value lead by a reducer whose multiplied
+        signature is not below the element's loses the first column (seen
+        with a random search; the derandomized examples above miss it)."""
+        rows = [parse_many(["c", "1", "b*c"], CONIC.sig),
+                parse_many(["0", "1", "1"], CONIC.sig)]
+        K = syzygies(rows, CONIC)
+        assert [[str(e) for e in col] for col in K] == [
+            ["a*c^2 - b", "b*c", "-b*c"], ["b*c - 1", "c", "-c"]]
+        assert K == module_syzygies(rows, CONIC, 3)
 
     @pytest.mark.parametrize("row, expected", [
         (["y", "y"], [["0", "x"], ["0", "y^2"], ["1", "-1"]]),
@@ -222,7 +239,10 @@ class TestCoefficientGrowth:
         algebra = make_ring(["x", "y", "z"], [1, 1, 1], ["x^2 - y*z", "x*y - z^2"])
         rows = [parse_many(["y*z^2 + z^2", "5/3*y^2*z - 3/2*y",
                             "2*x*y^2*z - 3/2*y*z"], algebra.sig)]
-        K = syzygies(rows, algebra)
+        # a pair loop without signatures took 795 steps here
+        with step_budget(10 ** 6) as budget:
+            K = syzygies(rows, algebra)
+        assert budget.used == 32
         assert [[str(e) for e in col] for col in K] == [
             ["0", "0", "y^2 - x*z"],
             ["0", "z^3 - 3/4*z", "-5/6*y*z + 3/4"],
