@@ -275,6 +275,8 @@ class _Packing:
 _IntVector = dict[int, dict[int, int]]
 _Element = tuple[int, int, _IntVector, int]
 _Reducer = tuple[int, int, _IntVector, int]
+# a reducer of the signature loop: a _Reducer and its signature
+_SignedReducer = tuple[int, int, _IntVector, int, int]
 
 
 def _integers(comps: Mapping[int, Mapping[Exponents, Fraction]],
@@ -627,7 +629,7 @@ def _syzygy_basis(base: list[_Element], inputs: list[_Element], known: list[_Ele
         return (last - pos) << width | mono
 
     below = -1 << (width + 1)  # the base's signature, under every tag
-    buckets: dict[int, list] = {}  # reducers: (guarded, lm, ints, coef, signature)
+    buckets: dict[int, list[_SignedReducer]] = {}
     for pos, lead, ints, coef in base:
         buckets.setdefault(pos, []).append((lead | guards, lead, ints, coef, below))
     # by signature position: H as guarded leads, and the elements as
@@ -687,8 +689,9 @@ def _syzygy_basis(base: list[_Element], inputs: list[_Element], known: list[_Ele
     return _interreduce(known + found, packing, budget)
 
 
-def _regular_reduce(vec: _IntVector, sig: int, buckets: dict[int, list],
-                    first_tag: int, packing: _Packing, budget: StepBudget) -> _IntVector:
+def _regular_reduce(vec: _IntVector, sig: int,
+                    buckets: dict[int, list[_SignedReducer]], first_tag: int,
+                    packing: _Packing, budget: StepBudget) -> _IntVector:
     """vec, of signature sig, with its value lead regular-reduced as far as
     it goes (see _syzygy_basis).  The value tails and the positions from
     `first_tag` on stay unreduced; vec is consumed."""
