@@ -569,7 +569,7 @@ def _interreduce(elements: list[_Element], packing: _Packing,
     return kept
 
 
-def _syzygy_basis(base: list[_Element], inputs: list[_Element], known: list[_Element],
+def _syzygy_basis(base: list[_Element], inputs: list[_IntVector], known: list[_Element],
                   first_tag: int, order: Order, budget: StepBudget) -> list[_Element]:
     """The reduced Groebner basis of the syzygies of the inputs modulo the
     base, by a signature-based loop (Gao, Volny and Wang, Math. Comp. 85,
@@ -622,7 +622,7 @@ def _syzygy_basis(base: list[_Element], inputs: list[_Element], known: list[_Ele
     lcm_of = packing.lcm
     width = 8 * packing._size
     mask = (1 << width) - 1
-    last = max(max(ints) for _, _, ints, _ in inputs + known)
+    last = max([max(vec) for vec in inputs] + [pos for pos, _, _, _ in known])
 
     def key(pos: int, mono: int) -> int:
         """A (position, monomial) as one int in the module order."""
@@ -646,10 +646,9 @@ def _syzygy_basis(base: list[_Element], inputs: list[_Element], known: list[_Ele
         """The syzygy criterion."""
         return any((h - mono) & dividing == dividing for h in syzygies.get(pos, ()))
 
-    for element in inputs:
-        pos = min(i for i in element[2] if i >= first_tag)
-        heapq.heappush(heap, (key(pos, max(element[2][pos])), -1, next(counter),
-                              element, None, 0))
+    for vec in inputs:
+        pos = min(i for i in vec if i >= first_tag)
+        heapq.heappush(heap, (key(pos, max(vec[pos])), -1, next(counter), vec, None, 0))
 
     while heap:
         sig, lead_key, _, a, b, lcm = heapq.heappop(heap)
@@ -657,7 +656,7 @@ def _syzygy_basis(base: list[_Element], inputs: list[_Element], known: list[_Ele
         if dropped(pos, mono):
             continue
         if b is None:
-            vec = {i: dict(comp) for i, comp in a[2].items()}
+            vec = {i: dict(comp) for i, comp in a.items()}
         else:
             if any((g - mono) & dividing == dividing and v + mono - m < lead_key
                    for g, m, v in signed.get(pos, ())):

@@ -51,11 +51,11 @@ from .groebner import (
     _element,
     _fractions,
     _groebner,
-    _syzygy_basis,
     _integers,
     _poly_element,
     _primitive,
     _reduce,
+    _syzygy_basis,
     current_budget,
     default_order,
     leading_monomial,
@@ -163,7 +163,7 @@ def syzygies(rows: Sequence[Sequence[Polynomial]], algebra: GradedAlgebra,
     for j in range(q):
         comps = {i: rows[i][j].terms for i in range(p)}
         comps[p + j] = one
-        inputs.append(_element(_primitive(_integers(comps, packing)[0])))
+        inputs.append(_primitive(_integers(comps, packing)[0]))
     kernel = _syzygy_basis(_quotient_block(algebra, order, range(p)), inputs, tagged,
                            p, order, budget)
 
