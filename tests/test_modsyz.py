@@ -230,8 +230,8 @@ class TestTagPass:
 
 
 class TestCoefficientGrowth:
-    """An inhomogeneous row whose kernel swelled the engine's integers
-    while most of its pairs reduced to zero."""
+    """Kernels of inhomogeneous rows, where integer coefficients can grow
+    with every pair taken."""
 
     def test_inhomogeneous_row(self):
         """The row (yz^2 + z^2, 5/3 y^2 z - 3/2 y, 2xy^2 z - 3/2 yz) over
