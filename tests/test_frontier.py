@@ -11,16 +11,19 @@ Each pin counts only the trace ("trace only": `diff_trace`, without
 computed before the budget opens.  The stored generator strings are the
 trace entries `trace_ideal` returns, in its order.  A rewrite of the
 reduction kernel that makes the same reductions leaves both as they are.
+`tests/data/presented.json` pins what `presented_generators` prints for the
+same top traces: the minimal generators and the steps of that call alone.
 `tests/data/frontier.json` only gets entries appended; a stored step count
 moves only when the engine's pairs or reductions change, and the generator
-strings never do.  To print the entries
-from the code on the path (only from code whose output is trusted):
+strings never do.  To print the entries of both files from the code on the
+path (only from code whose output is trusted):
 
     PYTHONPATH=src python tests/test_frontier.py
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 
@@ -34,6 +37,7 @@ from difftrace.rings import GradedAlgebra
 from difftrace.traces import diff_trace
 
 DATA = Path(__file__).resolve().parent / "data" / "frontier.json"
+PRESENTED = DATA.with_name("presented.json")
 
 
 def segre(p: int, q: int) -> GradedAlgebra:
@@ -54,13 +58,29 @@ CONES = {"top trace segre 2x4": lambda: segre(2, 4),
          "top trace veronese P2 degree 3": lambda: veronese("stu", 3)}
 
 
-def top_trace(name: str) -> dict:
+@functools.cache
+def _cone(name: str):
+    """The cone, its top trace and the steps of that trace alone."""
     algebra = CONES[name]()
     algebra.defining.groebner_basis
     dimension = algebra.dimension
     with step_budget(10 ** 12) as budget:
         handle = diff_trace(algebra, dimension)
-    return {"steps": budget.used, "generators": [str(g) for g in handle.gens]}
+    return algebra, handle, budget.used
+
+
+def top_trace(name: str) -> dict:
+    _, handle, steps = _cone(name)
+    return {"steps": steps, "generators": [str(g) for g in handle.gens]}
+
+
+def presented(name: str) -> dict:
+    """The printed generators of the top trace, and the steps of
+    `presented_generators` alone."""
+    algebra, handle, _ = _cone(name)
+    with step_budget(10 ** 12) as budget:
+        gens = algebra.presented_generators(handle)
+    return {"steps": budget.used, "generators": [str(g) for g in gens]}
 
 
 @pytest.mark.parametrize("name", sorted(CONES))
@@ -69,5 +89,13 @@ def test_top_trace(name):
     assert top_trace(name) == stored
 
 
+@pytest.mark.parametrize("name", sorted(CONES))
+def test_presented_generators(name):
+    stored = json.loads(PRESENTED.read_text(encoding="utf-8"))[name]
+    assert presented(name) == stored
+
+
 if __name__ == "__main__":
-    print(json.dumps({name: top_trace(name) for name in sorted(CONES)}, indent=1))
+    print(json.dumps({DATA.name: {name: top_trace(name) for name in sorted(CONES)},
+                      PRESENTED.name: {name: presented(name) for name in sorted(CONES)}},
+                     indent=1))
