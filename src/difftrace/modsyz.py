@@ -213,11 +213,13 @@ class ModulePresentation:
     def __post_init__(self):
         if self.target_rank < 0:
             raise ValueError("target rank cannot be negative")
+        sig = self.algebra.sig
         for col in self.columns:
             if len(col) != self.target_rank:
                 raise ValueError("relation column length differs from target rank")
             for entry in col:
-                if entry.sig != self.algebra.sig:
+                # entries nearly always share the algebra's signature object
+                if entry.sig is not sig and entry.sig != sig:
                     raise ValueError("relation entry over a different signature")
 
 
@@ -231,7 +233,8 @@ def exterior_power_presentation(P: ModulePresentation, k: int) -> ModulePresenta
     Basis of the new target: k-subsets of the old basis in lexicographic
     order.  Each old relation column wedged against a (k-1)-subset gives a new
     relation; the sign of moving e_i past e_T' is (-1)^(number of t in T'
-    with t > i).
+    with t > i).  Each i outside T' gives its own subset, so every entry of
+    the new relation is one old entry or its negative.
     """
     if k < 0:
         raise ValueError("exterior power degree cannot be negative")
@@ -256,11 +259,10 @@ def exterior_power_presentation(P: ModulePresentation, k: int) -> ModulePresenta
                 entry = col[i]
                 if entry.is_zero:
                     continue
-                sign = -1 if sum(1 for t in prefix if t > i) % 2 else 1
-                target = index[tuple(sorted(prefix + (i,)))]
-                out[target] = out[target] + (entry if sign > 0 else -entry)
+                odd = sum(1 for t in prefix if t > i) % 2
+                out[index[tuple(sorted(prefix + (i,)))]] = -entry if odd else entry
                 touched = True
-            if touched and any(not e.is_zero for e in out):
+            if touched:
                 new_columns.append(tuple(out))
     return ModulePresentation(algebra, len(subsets), tuple(new_columns))
 
