@@ -59,8 +59,9 @@ class StepBudget:
     A step is one S-pair or J-pair taken for reduction, one reduction step,
     or one row subtraction of the graded solver (graded.py).  A pair that a
     criterion drops costs nothing, the signature criteria of a kernel
-    (`_syzygy_basis`) included, and so does a pair above the degree that a
-    minimalization needs (minimalize_homogeneous): it is never taken.
+    (`_syzygy_basis`) included, and so does a pair that a minimalization
+    (minimalize_homogeneous) leaves pending above its largest candidate
+    degree: it is never taken.
     """
 
     __slots__ = ("limit", "used")
@@ -95,8 +96,8 @@ def current_budget() -> StepBudget:
     """The ambient budget, or a fresh default-sized one.
 
     Outside `step_budget`, each engine entry (each `buchberger`,
-    `normal_form_raw`, `groebner_basis`, `syzygies` or `trace_contains`)
-    gets its own budget.
+    `normal_form_raw`, `groebner_basis`, `minimalize_homogeneous`,
+    `syzygies` or `trace_contains`) gets its own budget.
     `step_budget` is the only way to bound or count a library computation
     as a whole.
     """
@@ -454,57 +455,56 @@ def _monic_polynomial(sig: RingSignature, element: _Element, order: Order) -> Po
     return g
 
 
-def _groebner(elements: list[_Element], first_new: int, order: Order,
-              budget: StepBudget, max_degree: int | None = None) -> list[_Element]:
-    """The reduced Groebner basis of the module the elements generate, as
-    primitive elements in increasing lead order.  The first `first_new`
-    elements must already form a reduced basis: they enter the pairing sets
-    with no pairs, so only pairs with a later element are made.
+class _Engine:
+    """One Buchberger run that can stop and resume: the basis, its reducers
+    bucketed by lead position, and by lead position the pairing set
+    (indices of the elements no later lead divides) and the pending pairs
+    {(i, j): lcm}, with a heap of the pairs in ascending (lcm, made) order.
 
-    With `max_degree`, no pair whose lcm has weighted degree above it is
-    taken, and the result is a truncated basis: it decides membership of
-    every homogeneous element up to that degree, and seeds a later call with
-    the same bound.  This holds only for homogeneous elements under
-    WeightedGrevlex, whose keys order pairs by degree first.
-
-    An ideal is the rank-1 module at position 0.  Pairs are made only inside
-    one lead position, as two elements leading in different positions have
-    no S-vector, and are taken in ascending (lcm, made) order.  Leads and
-    lcms are packed monomials, so the lcm, each divisibility test and the
-    coprime test are a few integer operations, and an lcm past the degree
-    limit raises DegreeLimitError.  Each element
-    is installed by the update of Gebauer and Moeller (J. Symbolic Comput.
-    6, 1988).  B: a pending pair is dropped when the new lead divides its
-    lcm and differs from both lcms with the new element.  M and F: of the
-    new pairs, one per minimal lcm is kept.  Elements whose lead the new
-    lead divides leave the pairing set and stay reducers.  The coprime-lead
-    criterion holds only when every element lies in position 0 alone, so
-    only an ideal gets it.  The budget is ticked once per pair taken for
-    reduction and once per reduction step; dropped pairs cost nothing.
+    Pairs are made only inside one lead position, as two elements leading
+    in different positions have no S-vector.  Leads and lcms are packed
+    monomials, so the lcm, each divisibility test and the coprime test are a
+    few integer operations, and an lcm past the degree limit raises
+    DegreeLimitError.  Each element is installed by the update of Gebauer
+    and Moeller (J. Symbolic Comput. 6, 1988).  B: a pending pair is dropped
+    when the new lead divides its lcm and differs from both lcms with the
+    new element.  M and F: of the new pairs, one per minimal lcm is kept.
+    Elements whose lead the new lead divides leave the pairing set and stay
+    reducers.  The coprime-lead criterion holds only when every element lies
+    in position 0 alone, so only an ideal (`ideal`) gets it.  The budget is
+    ticked once per pair taken for reduction and once per reduction step;
+    dropped pairs cost nothing.
     """
-    packing = order._packing
-    guards, dividing, base = packing.guards, packing.dividing, packing.base
-    lcm_of = packing.lcm
-    cap = None if max_degree is None else (max_degree + 1) << packing.top
-    ideal = all(ints.keys() == {0} for _, _, ints, _ in elements)
-    basis: list[_Element] = []
-    buckets: dict[int, list[_Reducer]] = {}
-    # by lead position: the pairing set (indices of the elements no later
-    # lead divides) and the pending pairs {(i, j): lcm}
-    pairing: dict[int, list[int]] = {}
-    pending: dict[int, dict[tuple[int, int], int]] = {}
-    heap: list = []
-    counter = itertools.count()
 
-    def install(element: _Element):
+    __slots__ = ("packing", "budget", "ideal", "basis", "buckets", "pairing",
+                 "pending", "heap", "counter")
+
+    def __init__(self, packing: _Packing, budget: StepBudget, ideal: bool):
+        self.packing = packing
+        self.budget = budget
+        self.ideal = ideal
+        self.basis: list[_Element] = []
+        self.buckets: dict[int, list[_Reducer]] = {}
+        self.pairing: dict[int, list[int]] = {}
+        self.pending: dict[int, dict[tuple[int, int], int]] = {}
+        self.heap: list = []
+        self.counter = itertools.count()
+
+    def install(self, element: _Element, pairs: bool = True):
+        """Add the element as a reducer and to the pairing set of its lead
+        position.  Without pairs it is paired with nothing: the elements
+        installed so without pairs must form a Groebner basis."""
+        packing = self.packing
+        guards, dividing, lcm_of = packing.guards, packing.dividing, packing.lcm
+        basis = self.basis
         pos, lead = element[0], element[1]
         guarded = lead | guards
         new = len(basis)
         basis.append(element)
-        buckets.setdefault(pos, []).append((guarded, *element[1:]))
-        group = pairing.setdefault(pos, [])
-        queue = pending.setdefault(pos, {})
-        if new >= first_new:
+        self.buckets.setdefault(pos, []).append((guarded, *element[1:]))
+        group = self.pairing.setdefault(pos, [])
+        if pairs:
+            queue = self.pending.setdefault(pos, {})
             # B on the pending pairs
             for pair in [pair for pair, lcm in queue.items()
                          if (guarded - lcm) & dividing == dividing
@@ -519,32 +519,60 @@ def _groebner(elements: list[_Element], first_new: int, order: Order,
                     kept.append((i, lcm))
                     minimal.append(lcm | guards)
             for i, lcm in kept:
-                if not (ideal and lcm == basis[i][1] + lead - base):
+                if not (self.ideal and lcm == basis[i][1] + lead - packing.base):
                     queue[i, new] = lcm
-                    heapq.heappush(heap, (lcm, next(counter), i, new))
+                    heapq.heappush(self.heap, (lcm, next(self.counter), i, new))
             group[:] = [i for i in group
                         if (guarded - basis[i][1]) & dividing != dividing]
         group.append(new)
 
-    for element in elements:
-        install(element)
+    def run(self, cap: int | None = None):
+        """Take pairs, installing each nonzero remainder of an S-vector,
+        until no pair is pending or the smallest lcm reaches `cap`.  The heap
+        is read before a pair is taken, so a pair at or above the cap stays
+        pending for a later run.
 
-    while heap:
-        lcm, _, i, j = heapq.heappop(heap)
-        if cap is not None and lcm >= cap:
-            break
-        if pending[basis[i][0]].pop((i, j), None) is None:
-            continue
-        budget.tick()
-        remainder, _ = _reduce(_s_vector(basis[i], basis[j], lcm), 1, buckets,
-                               packing, budget)
-        if remainder:
-            install(_element(_primitive(remainder)))
+        Homogeneous elements under WeightedGrevlex compare by weighted degree
+        first, so a cap of (d + 1) << packing.top takes every pair of lcm
+        degree up to d and no other.  The basis is then truncated at d: it
+        decides membership of every homogeneous element of degree up to d,
+        interreduced or not (Gebauer and Moeller's degree-by-degree
+        argument).
+        """
+        heap, pending, basis, buckets = self.heap, self.pending, self.basis, self.buckets
+        packing, budget = self.packing, self.budget
+        while heap and (cap is None or heap[0][0] < cap):
+            lcm, _, i, j = heapq.heappop(heap)
+            if pending[basis[i][0]].pop((i, j), None) is None:
+                continue
+            budget.tick()
+            remainder, _ = _reduce(_s_vector(basis[i], basis[j], lcm), 1, buckets,
+                                   packing, budget)
+            if remainder:
+                self.install(_element(_primitive(remainder)))
 
-    # only an input can have a lead that another lead of its pairing set
-    # divides
-    return _interreduce([basis[i] for group in pairing.values() for i in group],
-                        packing, budget)
+    def pairing_elements(self) -> list[_Element]:
+        """The elements of the pairing sets: a Groebner basis once every
+        pair is taken.  Only an element installed without pairs can have a
+        lead that another lead of its pairing set divides."""
+        return [self.basis[i] for group in self.pairing.values() for i in group]
+
+
+def _groebner(elements: list[_Element], first_new: int, order: Order,
+              budget: StepBudget) -> list[_Element]:
+    """The reduced Groebner basis of the module the elements generate, as
+    primitive elements in increasing lead order.  The first `first_new`
+    elements must already form a Groebner basis: they are installed with no
+    pairs, so only pairs with a later element are made.  An ideal is the
+    rank-1 module at position 0.  One `_Engine` takes every pair, and one
+    sweep (`_interreduce`) makes the result reduced.
+    """
+    engine = _Engine(order._packing, budget,
+                     all(ints.keys() == {0} for _, _, ints, _ in elements))
+    for k, element in enumerate(elements):
+        engine.install(element, k >= first_new)
+    engine.run()
+    return _interreduce(engine.pairing_elements(), order._packing, budget)
 
 
 def _interreduce(elements: list[_Element], packing: _Packing,
@@ -725,16 +753,15 @@ def buchberger(gens: Iterable[Polynomial], order: Order) -> tuple[Polynomial, ..
     return _buchberger([g for g in gens if not g.is_zero], 0, order)
 
 
-def _buchberger(basis: list[Polynomial], first_new: int, order: Order,
-                max_degree: int | None = None) -> tuple[Polynomial, ...]:
+def _buchberger(basis: list[Polynomial], first_new: int,
+                order: Order) -> tuple[Polynomial, ...]:
     """Buchberger on a basis whose first `first_new` elements already form
-    a reduced Groebner basis, truncated at `max_degree` (see _groebner)."""
+    a reduced Groebner basis (see _groebner)."""
     if not basis:
         return ()
     elements = [_poly_element(g, order) for g in basis]
     return tuple(_monic_polynomial(basis[0].sig, e, order)
-                 for e in _groebner(elements, first_new, order, current_budget(),
-                                    max_degree=max_degree))
+                 for e in _groebner(elements, first_new, order, current_budget()))
 
 
 # -- ideal handles and operations ---------------------------------------------
@@ -930,14 +957,21 @@ def minimalize_homogeneous(gens: Sequence[Polynomial], sig: RingSignature,
 
     Scans by ascending weighted degree (ties keep input order) and keeps an
     element only if it is not in the ideal spanned by the kept ones together
-    with `modulo`, a homogeneous ideal.
+    with `modulo`, a homogeneous ideal.  The returned tuple holds the kept
+    elements themselves.
 
-    The scan starts from the cached reduced basis of `modulo`.  Each kept
-    element extends the basis with no pair whose lcm lies above the largest
-    candidate degree: such a pair cannot change a normal form in the degrees
-    scanned, so it is never taken.
+    The whole scan runs on one `_Engine`, started from the cached reduced
+    basis of `modulo` with no pairs.  Each candidate is packed once and
+    reduced against the live basis; an empty remainder makes it a member.
+    A kept candidate's primitive remainder generates the same ideal with the
+    basis, and is installed with its pairs.  Before a candidate of degree d
+    is reduced, the engine takes the pending pairs of lcm degree up to d
+    and leaves the others pending, so the basis is truncated at d and
+    decides membership there.  A pair above the largest candidate degree is
+    never taken.
     """
     order = default_order(sig)
+    packing = order._packing
     nonzero = [g for g in gens if not g.is_zero]
     if modulo is None:
         modulo = IdealHandle(sig, ())
@@ -945,12 +979,15 @@ def minimalize_homogeneous(gens: Sequence[Polynomial], sig: RingSignature,
         if not g.is_homogeneous():
             raise ValueError(f"minimalize_homogeneous needs homogeneous input, got {g}")
     ranked = sorted(nonzero, key=lambda g: g.homogeneous_degree())
-    top = ranked[-1].homogeneous_degree() if ranked else 0
+    engine = _Engine(packing, current_budget(), True)
+    for f in modulo.groebner_basis:
+        engine.install(_poly_element(f, order), False)
     kept: list[Polynomial] = []
-    basis = modulo.groebner_basis
     for g in ranked:
-        if normal_form_raw(g, basis, order).is_zero:
-            continue
-        kept.append(g)
-        basis = _buchberger(list(basis) + [g], len(basis), order, max_degree=top)
+        engine.run((g.homogeneous_degree() + 1) << packing.top)
+        remainder, _ = _reduce(_integers({0: g.terms}, packing)[0], 1, engine.buckets,
+                               packing, engine.budget)
+        if remainder:
+            kept.append(g)
+            engine.install(_element(_primitive(remainder)))
     return tuple(kept)
