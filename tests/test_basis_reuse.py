@@ -5,7 +5,9 @@ over by the function that found it, or truncated at the degree its caller
 needs, must agree with the plain computation kept here as the reference.
 The rings are the node, the conic and the cusp, plus one whose listed
 generators are neither monic nor a Groebner basis, so that seeding from
-the generators instead of their basis shows.
+the generators instead of their basis shows.  The minimal-generator scan
+runs on one live engine state; its tests also check that a budget abort
+inside it leaves the cached bases as they were.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from difftrace.constructions import (
     tensor_product,
 )
 from difftrace.groebner import (
+    BudgetExceededError,
     _buchberger,
     buchberger,
     default_order,
@@ -29,6 +32,7 @@ from difftrace.groebner import (
     ideal_intersection,
     minimalize_homogeneous,
     normal_form_raw,
+    step_budget,
 )
 from difftrace.poly import parse_many
 from difftrace.traces import diff_trace
@@ -38,6 +42,8 @@ NODE = make_ring(["x", "y"], [1, 1], ["x*y"])
 CONIC = make_ring(["a", "b", "c"], [1, 1, 1], ["a*c - b^2"])
 CUSP = make_ring(["a", "b"], [2, 3], ["a^3 - b^2"])
 UNREDUCED = make_ring(["x", "y"], [1, 1], ["2*x^2 - 2*y^2", "x*y"])
+TWISTED = make_ring(["x", "y", "z", "w"], [1, 1, 1, 1],
+                    ["x*z - y^2", "y*w - z^2", "x*w - y*z"])
 RINGS = {"node": NODE, "conic": CONIC, "cusp": CUSP, "unreduced": UNREDUCED}
 
 
@@ -111,6 +117,38 @@ class TestTruncatedMinimalize:
         gens = parse_many(["x^2 + y^2", "y^3"], NODE.sig)
         kept = minimalize_homogeneous(gens, NODE.sig, modulo=NODE.defining)
         assert [str(g) for g in kept] == ["x^2 + y^2"]
+
+    def test_pair_above_a_candidate_stays_pending(self):
+        # the pair of xy and x^2 + y^2 has lcm degree 3: the member
+        # 2x^2 + 2y^2 is decided without it, and y^3 needs it
+        gens = parse_many(["x^2 + y^2", "2*x^2 + 2*y^2", "y^3"], NODE.sig)
+        kept = minimalize_homogeneous(gens, NODE.sig, modulo=NODE.defining)
+        assert [str(g) for g in kept] == ["x^2 + y^2"]
+
+    def test_returns_the_inputs(self):
+        # x^2 + xy is kept through its remainder x^2 modulo xy
+        g, = parse_many(["x^2 + x*y"], NODE.sig)
+        kept = minimalize_homogeneous([g], NODE.sig, modulo=NODE.defining)
+        assert len(kept) == 1 and kept[0] is g
+        assert str(kept[0]) == "x^2 + x*y"
+
+    def test_budget_abort_leaves_no_poisoned_cache(self):
+        # the scan takes 27 steps; a budget of 10 aborts inside it
+        gens = parse_many(["x^2 + y*z", "y^2 + x*w", "z^2 + x*y", "x^3", "w^3",
+                           "x*y*z"], TWISTED.sig)
+        modulo = TWISTED.defining
+        expected = minimalize_homogeneous(gens, TWISTED.sig, modulo=modulo)
+        basis = modulo.groebner_basis
+        cached = [(g._ints[0], g._ints[1], dict(g._ints[2])) for g in basis]
+        with step_budget(10):
+            with pytest.raises(BudgetExceededError):
+                minimalize_homogeneous(gens, TWISTED.sig, modulo=modulo)
+        assert modulo.groebner_basis is basis
+        assert [(g._ints[0], g._ints[1], g._ints[2]) for g in basis] == cached
+        with step_budget(10 ** 6):
+            again = minimalize_homogeneous(gens, TWISTED.sig, modulo=modulo)
+        assert again == expected
+        assert all(a is b for a, b in zip(again, expected))
 
 
 class TestTensorPrediction:
