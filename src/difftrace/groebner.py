@@ -968,26 +968,35 @@ def minimalize_homogeneous(gens: Sequence[Polynomial], sig: RingSignature,
     is reduced, the engine takes the pending pairs of lcm degree up to d
     and leaves the others pending, so the basis is truncated at d and
     decides membership there.  A pair above the largest candidate degree is
-    never taken.
+    never taken, and a remainder at that degree is installed with no pairs.
     """
     order = default_order(sig)
     packing = order._packing
-    nonzero = [g for g in gens if not g.is_zero]
     if modulo is None:
         modulo = IdealHandle(sig, ())
-    for g in nonzero + list(modulo.gens):
+    ranked: list[tuple[int, Polynomial]] = []
+    for g in gens:
+        if not g.is_zero:
+            degree = g.homogeneous_degree()
+            if degree is None:
+                raise ValueError(f"minimalize_homogeneous needs homogeneous input, got {g}")
+            ranked.append((degree, g))
+    for g in modulo.gens:
         if not g.is_homogeneous():
             raise ValueError(f"minimalize_homogeneous needs homogeneous input, got {g}")
-    ranked = sorted(nonzero, key=lambda g: g.homogeneous_degree())
+    ranked.sort(key=lambda candidate: candidate[0])
+    top = ranked[-1][0] if ranked else 0
     engine = _Engine(packing, current_budget(), True)
     for f in modulo.groebner_basis:
         engine.install(_poly_element(f, order), False)
     kept: list[Polynomial] = []
-    for g in ranked:
-        engine.run((g.homogeneous_degree() + 1) << packing.top)
+    for degree, g in ranked:
+        engine.run((degree + 1) << packing.top)
         remainder, _ = _reduce(_integers({0: g.terms}, packing)[0], 1, engine.buckets,
                                packing, engine.budget)
         if remainder:
             kept.append(g)
-            engine.install(_element(_primitive(remainder)))
+            # no lead installed divides the remainder's, so its pairs have
+            # lcms above its degree: at the top degree none would be taken
+            engine.install(_element(_primitive(remainder)), degree < top)
     return tuple(kept)
