@@ -492,8 +492,9 @@ class _Engine:
 
     def install(self, element: _Element, pairs: bool = True):
         """Add the element as a reducer and to the pairing set of its lead
-        position.  Without pairs it is paired with nothing: the elements
-        installed so without pairs must form a Groebner basis."""
+        position.  Without pairs it is paired with nothing yet, only with
+        later elements: the caller vouches that no pair of it is needed, as
+        for a Groebner basis installed first."""
         packing = self.packing
         guards, dividing, lcm_of = packing.guards, packing.dividing, packing.lcm
         basis = self.basis
@@ -986,9 +987,9 @@ def minimalize_homogeneous(gens: Sequence[Polynomial], sig: RingSignature,
             raise ValueError(f"minimalize_homogeneous needs homogeneous input, got {g}")
     ranked.sort(key=lambda candidate: candidate[0])
     top = ranked[-1][0] if ranked else 0
-    engine = _Engine(packing, current_budget(), True)
+    engine = _Engine(packing, current_budget(), ideal=True)
     for f in modulo.groebner_basis:
-        engine.install(_poly_element(f, order), False)
+        engine.install(_poly_element(f, order), pairs=False)
     kept: list[Polynomial] = []
     for degree, g in ranked:
         engine.run((degree + 1) << packing.top)
@@ -998,5 +999,5 @@ def minimalize_homogeneous(gens: Sequence[Polynomial], sig: RingSignature,
             kept.append(g)
             # no lead installed divides the remainder's, so its pairs have
             # lcms above its degree: at the top degree none would be taken
-            engine.install(_element(_primitive(remainder)), degree < top)
+            engine.install(_element(_primitive(remainder)), pairs=degree < top)
     return tuple(kept)
