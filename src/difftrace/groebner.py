@@ -552,12 +552,6 @@ class _Engine:
             if remainder:
                 self.install(_element(_primitive(remainder)))
 
-    def pairing_elements(self) -> list[_Element]:
-        """The elements of the pairing sets: a Groebner basis once every
-        pair is taken.  Only an element installed without pairs can have a
-        lead that another lead of its pairing set divides."""
-        return [self.basis[i] for group in self.pairing.values() for i in group]
-
 
 def _groebner(elements: list[_Element], first_new: int, order: Order,
               budget: StepBudget) -> list[_Element]:
@@ -573,7 +567,10 @@ def _groebner(elements: list[_Element], first_new: int, order: Order,
     for k, element in enumerate(elements):
         engine.install(element, k >= first_new)
     engine.run()
-    return _interreduce(engine.pairing_elements(), order._packing, budget)
+    # the pairing sets hold a Groebner basis; only an input can have a lead
+    # that another lead of its pairing set divides
+    return _interreduce([engine.basis[i] for group in engine.pairing.values() for i in group],
+                        order._packing, budget)
 
 
 def _interreduce(elements: list[_Element], packing: _Packing,
