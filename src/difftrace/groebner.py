@@ -1,11 +1,11 @@
 """Buchberger's algorithm and ideal arithmetic over Q.
 
 All computations are exact.  Polynomials in and out carry Fraction
-coefficients.  One Buchberger engine (`_groebner`) computes Groebner bases
-for ideals here and for modules in modsyz.py: an ideal is the rank-1 module
-at position 0.  Kernels (modsyz.syzygies) run a signature-based loop
-instead (`_syzygy_basis`), on the same elements and with the same final
-sweep.  Division with remainder runs in one kernel (`_reduce`) on
+coefficients.  One Buchberger engine (`_Engine`, run to the end by
+`_buchberger`) computes the Groebner bases of ideals.  Kernels of module
+maps (modsyz.syzygies) run a signature-based loop (`_syzygy_basis`) on
+vectors of the same integer elements, with the same final sweep.  Division
+with remainder of polynomials and vectors runs in one kernel (`_reduce`) on
 integer coefficients over one common denominator, and forms Fractions only
 for the remainder or basis it returns.  Inside the engine each monomial is
 one packed int, whose order is the monomial order; monomials are packed and
@@ -264,14 +264,15 @@ class _Packing:
 #
 # The kernel reduces a vector {position: {packed monomial: int}} whose exact
 # value is that vector divided by one common denominator; a polynomial is
-# the vector at position 0.  A basis element of the Buchberger engine is an
-# _Element: (lead position, lead monomial, integer vector, lead
-# coefficient).  A reducer, bucketed by lead position, is (guarded lead,
-# lead monomial, integer vector, lead coefficient): the guarded lead has
-# every guard bit set, ready for the divisibility test.  A reduction step is the same for every nonzero
-# multiple of a reducer, so each is kept as its primitive multiple: coprime
-# integers, made once per encoding and cached on the Polynomial.  Monomials
-# are packed and unpacked only where Fractions are read or made.
+# the vector at position 0.  A basis element of the Buchberger engine or of
+# the signature loop is an _Element: (lead position, lead monomial, integer
+# vector, lead coefficient).  A reducer, bucketed by lead position, is
+# (guarded lead, lead monomial, integer vector, lead coefficient): the
+# guarded lead has every guard bit set, ready for the divisibility test.  A
+# reduction step is the same for every nonzero multiple of a reducer, so
+# each is kept as its primitive multiple: coprime integers, made once per
+# encoding and cached on the Polynomial.  Monomials are packed and unpacked
+# only where Fractions are read or made.
 
 _IntVector = dict[int, dict[int, int]]
 _Element = tuple[int, int, _IntVector, int]
@@ -456,79 +457,73 @@ def _monic_polynomial(sig: RingSignature, element: _Element, order: Order) -> Po
 
 
 class _Engine:
-    """One Buchberger run that can stop and resume: the basis, its reducers
-    bucketed by lead position, and by lead position the pairing set
-    (indices of the elements no later lead divides) and the pending pairs
-    {(i, j): lcm}, with a heap of the pairs in ascending (lcm, made) order.
+    """One Buchberger run on an ideal that can stop and resume: the basis,
+    its reducers (all at position 0), the pairing set (indices of the
+    elements no later lead divides) and the pending pairs {(i, j): lcm},
+    with a heap of the pairs in ascending (lcm, made) order.
 
-    Pairs are made only inside one lead position, as two elements leading
-    in different positions have no S-vector.  Leads and lcms are packed
-    monomials, so the lcm, each divisibility test and the coprime test are a
-    few integer operations, and an lcm past the degree limit raises
-    DegreeLimitError.  Each element is installed by the update of Gebauer
-    and Moeller (J. Symbolic Comput. 6, 1988).  B: a pending pair is dropped
-    when the new lead divides its lcm and differs from both lcms with the
-    new element.  M and F: of the new pairs, one per minimal lcm is kept.
-    Elements whose lead the new lead divides leave the pairing set and stay
-    reducers.  The coprime-lead criterion holds only when every element lies
-    in position 0 alone, so only an ideal (`ideal`) gets it.  The budget is
-    ticked once per pair taken for reduction and once per reduction step;
-    dropped pairs cost nothing.
+    Leads and lcms are packed monomials, so the lcm, each divisibility test
+    and the coprime test are a few integer operations, and an lcm past the
+    degree limit raises DegreeLimitError.  Each element is installed by the
+    update of Gebauer and Moeller (J. Symbolic Comput. 6, 1988).  B: a
+    pending pair is dropped when the new lead divides its lcm and differs
+    from both lcms with the new element.  M and F: of the new pairs, one per
+    minimal lcm is kept, and then one whose two leads are coprime is
+    dropped.  Elements whose lead the new lead divides leave the pairing set
+    and stay reducers.  The budget is ticked once per pair taken for
+    reduction and once per reduction step; dropped pairs cost nothing.
     """
 
-    __slots__ = ("packing", "budget", "ideal", "basis", "buckets", "pairing",
-                 "pending", "heap", "counter")
+    __slots__ = ("packing", "budget", "basis", "buckets", "pairing", "pending",
+                 "heap", "counter")
 
-    def __init__(self, packing: _Packing, budget: StepBudget, ideal: bool):
+    def __init__(self, packing: _Packing, budget: StepBudget):
         self.packing = packing
         self.budget = budget
-        self.ideal = ideal
         self.basis: list[_Element] = []
-        self.buckets: dict[int, list[_Reducer]] = {}
-        self.pairing: dict[int, list[int]] = {}
-        self.pending: dict[int, dict[tuple[int, int], int]] = {}
+        self.buckets: dict[int, list[_Reducer]] = {0: []}
+        self.pairing: list[int] = []
+        self.pending: dict[tuple[int, int], int] = {}
         self.heap: list = []
         self.counter = itertools.count()
 
     def install(self, element: _Element, pairs: bool = True):
-        """Add the element as a reducer and to the pairing set of its lead
-        position.  Without pairs it is paired with nothing yet, only with
-        later elements: the caller vouches that no pair of it is needed, as
-        for a Groebner basis installed first."""
+        """Add the element as a reducer and to the pairing set.  Without
+        pairs it is paired with nothing yet, only with later elements: the
+        caller vouches that no pair of it is needed, as for a Groebner basis
+        installed first."""
         packing = self.packing
         guards, dividing, lcm_of = packing.guards, packing.dividing, packing.lcm
-        basis = self.basis
-        pos, lead = element[0], element[1]
+        basis, pairing, pending = self.basis, self.pairing, self.pending
+        lead = element[1]
         guarded = lead | guards
         new = len(basis)
         basis.append(element)
-        self.buckets.setdefault(pos, []).append((guarded, *element[1:]))
-        group = self.pairing.setdefault(pos, [])
+        self.buckets[0].append((guarded, *element[1:]))
         if pairs:
-            queue = self.pending.setdefault(pos, {})
             # B on the pending pairs
-            for pair in [pair for pair, lcm in queue.items()
+            for pair in [pair for pair, lcm in pending.items()
                          if (guarded - lcm) & dividing == dividing
                          and lcm != lcm_of(basis[pair[0]][1], lead)
                          and lcm != lcm_of(basis[pair[1]][1], lead)]:
-                del queue[pair]
+                del pending[pair]
             # M and F on the new pairs, then the coprime-lead criterion
             kept: list[tuple[int, int]] = []
             minimal: list[int] = []  # the kept lcms, guarded
-            for lcm, i in sorted((lcm_of(basis[i][1], lead), i) for i in group):
+            for lcm, i in sorted((lcm_of(basis[i][1], lead), i) for i in pairing):
                 if not any((other - lcm) & dividing == dividing for other in minimal):
                     kept.append((i, lcm))
                     minimal.append(lcm | guards)
             for i, lcm in kept:
-                if not (self.ideal and lcm == basis[i][1] + lead - packing.base):
-                    queue[i, new] = lcm
+                if lcm != basis[i][1] + lead - packing.base:
+                    pending[i, new] = lcm
                     heapq.heappush(self.heap, (lcm, next(self.counter), i, new))
-            group[:] = [i for i in group
-                        if (guarded - basis[i][1]) & dividing != dividing]
-        group.append(new)
+            pairing[:] = [i for i in pairing
+                          if (guarded - basis[i][1]) & dividing != dividing]
+        pairing.append(new)
 
     def run(self, cap: int | None = None):
-        """Take pairs, installing each nonzero remainder of an S-vector,
+        """Take pairs, installing each nonzero remainder of an S-polynomial,
         until no pair is pending or the smallest lcm reaches `cap`.  The heap
         is read before a pair is taken, so a pair at or above the cap stays
         pending for a later run.
@@ -544,33 +539,13 @@ class _Engine:
         packing, budget = self.packing, self.budget
         while heap and (cap is None or heap[0][0] < cap):
             lcm, _, i, j = heapq.heappop(heap)
-            if pending[basis[i][0]].pop((i, j), None) is None:
+            if pending.pop((i, j), None) is None:
                 continue
             budget.tick()
             remainder, _ = _reduce(_s_vector(basis[i], basis[j], lcm), 1, buckets,
                                    packing, budget)
             if remainder:
                 self.install(_element(_primitive(remainder)))
-
-
-def _groebner(elements: list[_Element], first_new: int, order: Order,
-              budget: StepBudget) -> list[_Element]:
-    """The reduced Groebner basis of the module the elements generate, as
-    primitive elements in increasing lead order.  The first `first_new`
-    elements must already form a Groebner basis: they are installed with no
-    pairs, so only pairs with a later element are made.  An ideal is the
-    rank-1 module at position 0.  One `_Engine` takes every pair, and one
-    sweep (`_interreduce`) makes the result reduced.
-    """
-    engine = _Engine(order._packing, budget,
-                     all(ints.keys() == {0} for _, _, ints, _ in elements))
-    for k, element in enumerate(elements):
-        engine.install(element, k >= first_new)
-    engine.run()
-    # the pairing sets hold a Groebner basis; only an input can have a lead
-    # that another lead of its pairing set divides
-    return _interreduce([engine.basis[i] for group in engine.pairing.values() for i in group],
-                        order._packing, budget)
 
 
 def _interreduce(elements: list[_Element], packing: _Packing,
@@ -746,20 +721,31 @@ def buchberger(gens: Iterable[Polynomial], order: Order) -> tuple[Polynomial, ..
 
     Pairs are taken in ascending lcm order; the pair updates of Gebauer
     and Moeller and the coprime-lead criterion drop useless pairs before
-    any reduction work happens (see _groebner).
+    any reduction work happens (see _Engine).
     """
     return _buchberger([g for g in gens if not g.is_zero], 0, order)
 
 
 def _buchberger(basis: list[Polynomial], first_new: int,
                 order: Order) -> tuple[Polynomial, ...]:
-    """Buchberger on a basis whose first `first_new` elements already form
-    a reduced Groebner basis (see _groebner)."""
+    """The reduced Groebner basis of the ideal the nonzero basis generates,
+    monic in increasing lead order.  The first `first_new` elements must
+    already form a Groebner basis: they are installed with no pairs, so only
+    pairs with a later element are made.  One `_Engine` takes every pair,
+    and one sweep (`_interreduce`) makes the result reduced.
+    """
     if not basis:
         return ()
-    elements = [_poly_element(g, order) for g in basis]
+    packing, budget = order._packing, current_budget()
+    engine = _Engine(packing, budget)
+    for k, g in enumerate(basis):
+        engine.install(_poly_element(g, order), k >= first_new)
+    engine.run()
+    # the pairing set holds a Groebner basis; only an input can have a lead
+    # that another lead of the pairing set divides
     return tuple(_monic_polynomial(basis[0].sig, e, order)
-                 for e in _groebner(elements, first_new, order, current_budget()))
+                 for e in _interreduce([engine.basis[i] for i in engine.pairing],
+                                       packing, budget))
 
 
 # -- ideal handles and operations ---------------------------------------------
@@ -984,7 +970,7 @@ def minimalize_homogeneous(gens: Sequence[Polynomial], sig: RingSignature,
             raise ValueError(f"minimalize_homogeneous needs homogeneous input, got {g}")
     ranked.sort(key=lambda candidate: candidate[0])
     top = ranked[-1][0] if ranked else 0
-    engine = _Engine(packing, current_budget(), ideal=True)
+    engine = _Engine(packing, current_budget())
     for f in modulo.groebner_basis:
         engine.install(_poly_element(f, order), pairs=False)
     kept: list[Polynomial] = []

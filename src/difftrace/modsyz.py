@@ -26,13 +26,10 @@ I, so no term of a reduced kernel element is divisible by a lead of I,
 except its own lead when that lead is exactly one of I's.  Only the
 elements leading there are reduced modulo I (the tag pass), and one that
 is its own seed f e_j is dropped unreduced.
-module_groebner and vector_normal_form take and give {position: Polynomial}
-maps with Fraction coefficients and no zero components; inside, a basis
-element is its primitive integer vector and every reduction runs in the
-integer kernel.  The kernel's monomials are packed ints (see groebner.py):
-this module converts only through groebner's `_integers`, `_fractions` and
-`_poly_element`, handing each the order's `_packing`, and never reads the
-layout.
+Inside, an element is its primitive integer vector on packed monomials
+(see groebner.py): this module converts only through groebner's
+`_integers`, `_fractions` and `_poly_element`, handing each the order's
+`_packing`, and never reads the layout.
 """
 
 from __future__ import annotations
@@ -45,12 +42,8 @@ from .groebner import (
     IdealHandle,
     Order,
     _Element,
-    _IntVector,
-    _Packing,
     _buckets,
-    _element,
     _fractions,
-    _groebner,
     _integers,
     _poly_element,
     _primitive,
@@ -64,51 +57,6 @@ from .poly import Polynomial, RingSignature
 from .rings import GradedAlgebra
 
 Column = tuple[Polynomial, ...]
-
-
-def _map_element(v: dict[int, Polynomial], packing: _Packing) -> _Element:
-    """The primitive integer element of a nonzero {position: Polynomial} map."""
-    return _element(_primitive(_integers({i: p.terms for i, p in v.items()}, packing)[0]))
-
-
-def _map(sig: RingSignature, ints: _IntVector, den: int,
-         packing: _Packing) -> dict[int, Polynomial]:
-    return {i: Polynomial._of(sig, _fractions(comp, den, packing))
-            for i, comp in ints.items()}
-
-
-def module_groebner(gens: Sequence[dict[int, Polynomial]],
-                    order: Order) -> list[dict[int, Polynomial]]:
-    """Reduced Groebner basis of the submodule generated by gens, under the
-    position-over-term refinement of the given monomial order.
-
-    The pair updates of Gebauer and Moeller drop pairs (see
-    groebner._groebner); the coprime-lead criterion is applied only to a
-    rank-1 module at position 0, which is an ideal, as it is not valid for
-    module pairs.  Each S-vector taken for reduction and each reduction
-    step ticks the ambient budget.
-    """
-    gens = [v for v in gens if any(not p.is_zero for p in v.values())]
-    if not gens:
-        return []
-    sig = next(iter(gens[0].values())).sig
-    packing = order._packing
-    elements = [_map_element(v, packing) for v in gens]
-    return [_map(sig, ints, lead, packing)
-            for _, _, ints, lead in _groebner(elements, 0, order, current_budget())]
-
-
-def vector_normal_form(v: dict[int, Polynomial], basis: Sequence[dict[int, Polynomial]],
-                       order: Order) -> dict[int, Polynomial]:
-    """Full remainder of v under division by the basis maps: each step takes
-    the largest remaining term and the first basis map, in list order,
-    whose leading term divides it."""
-    packing = order._packing
-    buckets = _buckets([_map_element(g, packing) for g in basis
-                        if any(not p.is_zero for p in g.values())], packing)
-    vec, den = _integers({i: p.terms for i, p in v.items()}, packing)
-    remainder, den = _reduce(vec, den, buckets, packing, current_budget())
-    return _map(next(iter(v.values())).sig, remainder, den, packing) if remainder else {}
 
 
 # -- kernels over the quotient -------------------------------------------------

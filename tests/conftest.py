@@ -17,6 +17,16 @@ from difftrace import (
     tensor_product,
     veronese_algebra,
 )
+from difftrace.groebner import (
+    _buckets,
+    _element,
+    _fractions,
+    _integers,
+    _primitive,
+    _reduce,
+    current_budget,
+)
+from difftrace.poly import Polynomial
 from difftrace.ringfile import load_ring
 
 settings.register_profile(
@@ -54,6 +64,24 @@ def make_ring(names, weights, gens, reduced=True, equidim=True) -> GradedAlgebra
         asserted_reduced=reduced,
         asserted_equidimensional=equidim,
     )
+
+
+def vector_remainder(v: dict[int, Polynomial], basis, order) -> dict[int, Polynomial]:
+    """Full remainder of a {position: Polynomial} map under division by the
+    nonzero basis maps in list order, run by the engine's integer kernel
+    (`groebner._reduce`) as kernel elements are: each basis map as its
+    primitive integer vector, the remainder back in Fractions."""
+    packing = order._packing
+    reducers = [_element(_primitive(ints)) for g in basis
+                if (ints := _integers({i: p.terms for i, p in g.items()}, packing)[0])]
+    vec, den = _integers({i: p.terms for i, p in v.items()}, packing)
+    remainder, den = _reduce(vec, den, _buckets(reducers, packing), packing,
+                             current_budget())
+    if not remainder:
+        return {}
+    sig = next(iter(v.values())).sig
+    return {i: Polynomial._of(sig, _fractions(comp, den, packing))
+            for i, comp in remainder.items()}
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ has division with remainder: the engine's reduction loop as it was on
 Fraction coefficients, which its integer loop must match remainder for
 remainder and step for step.  The S-polynomials and S-vectors of the
 Buchberger certificates live here too, so the certificates share no code
-with the engine they check.
+with the engine they check, and so does a plain Buchberger on them that
+gives the reduced Groebner basis of a module: the reference for kernels.
 """
 
 from __future__ import annotations
@@ -467,3 +468,47 @@ def oracle_s_vector(f: dict[int, Polynomial], g: dict[int, Polynomial],
 def s_polynomial(f: Polynomial, g: Polynomial, key) -> Polynomial:
     """The S-polynomial of f and g, with leading terms taken under `key`."""
     return oracle_s_vector({0: f}, {0: g}, key).get(0, Polynomial.zero(f.sig))
+
+
+# -- module Groebner bases ------------------------------------------------------
+
+def oracle_module_groebner(gens, key) -> list[dict[int, Polynomial]]:
+    """The reduced Groebner basis of the submodule that the vectors of
+    polynomials generate, under position over term with `key` on the
+    monomials, sorted by (position, lead).
+
+    Plain Buchberger: every pair of two elements that lead in one position
+    is taken, in the order made, with no criterion, and each nonzero
+    remainder of its S-vector joins the basis.  Then an element whose lead
+    another lead divides is dropped (the later of two equal leads), and each
+    other is reduced against the rest and made monic.
+    """
+    basis = [{i: p for i, p in g.items() if not p.is_zero} for g in gens]
+    basis = [g for g in basis if g]
+    leads = [_vector_lead(g, key) for g in basis]
+    pairs = list(itertools.combinations(range(len(basis)), 2))
+    for i, j in pairs:  # also the pairs appended on the way
+        if leads[i][0] == leads[j][0]:
+            remainder, _ = oracle_vector_reduce(oracle_s_vector(basis[i], basis[j], key),
+                                                basis, key)
+            if remainder:
+                pairs += [(k, len(basis)) for k in range(len(basis))]
+                basis.append(remainder)
+                leads.append(_vector_lead(remainder, key))
+
+    def redundant(k: int) -> bool:
+        pos, lead = leads[k]
+        return any(j != k and leads[j][0] == pos
+                   and all(x <= y for x, y in zip(leads[j][1], lead))
+                   and (leads[j][1] != lead or j < k)
+                   for j in range(len(basis)))
+
+    kept = [k for k in range(len(basis)) if not redundant(k)]
+    out = []
+    for k in kept:
+        remainder, _ = oracle_vector_reduce(basis[k], [basis[j] for j in kept if j != k],
+                                            key)
+        pos, lead = leads[k]
+        scale = 1 / remainder[pos].terms[lead]
+        out.append(((pos, key(lead)), {i: p.scale(scale) for i, p in remainder.items()}))
+    return [v for _, v in sorted(out, key=lambda item: item[0])]

@@ -8,14 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_ring, ring_powers, wedge_shifts
+from conftest import make_ring, ring_powers, vector_remainder, wedge_shifts
 from oracles import (
     QuotientSlices,
     oracle_column_rank,
     oracle_in_kernel,
     oracle_in_span,
     oracle_kernel_dimension,
+    oracle_module_groebner,
     oracle_span_dimension,
+    oracle_vector_reduce,
 )
 from difftrace.groebner import ideal_equals, normal_form, step_budget
 from difftrace.modsyz import (
@@ -25,12 +27,10 @@ from difftrace.modsyz import (
     free_presentation,
     kernel_columns,
     matrix_minors,
-    module_groebner,
     syzygies,
     trace_ideal,
-    vector_normal_form,
 )
-from difftrace.groebner import default_order, normal_form_raw
+from difftrace.groebner import default_order
 from difftrace.poly import Polynomial, RingSignature, parse_many, parse_polynomial
 from difftrace.ringfile import load_ring
 from difftrace.traces import _column_basis, diff_trace, kaehler_presentation
@@ -82,19 +82,17 @@ class TestVector:
     def test_lead_prefers_low_position(self):
         order = default_order(XY)
         y, x5 = parse_polynomial("y", XY), parse_polynomial("x^5", XY)
-        basis = module_groebner([{0: y, 1: x5}], order)
-        assert basis == [{0: y, 1: x5}]
+        basis = [{0: y, 1: x5}]
         # the lead is y at position 0, so y e_0 reduces and x^5 e_1 does not
-        assert vector_normal_form({0: y}, basis, order) == {1: -x5}
-        assert vector_normal_form({1: x5}, basis, order) == {1: x5}
+        assert vector_remainder({0: y}, basis, order) == {1: -x5}
+        assert vector_remainder({1: x5}, basis, order) == {1: x5}
 
     def test_zero_components_dropped(self):
         order = default_order(XY)
         zero, x = Polynomial.zero(XY), parse_polynomial("x", XY)
-        basis = module_groebner([{0: x, 1: Polynomial.one(XY)}], order)
-        assert vector_normal_form({0: zero, 1: x}, [], order) == {1: x}
-        assert vector_normal_form({}, basis, order) == {}
-        assert module_groebner([{0: zero}], order) == []
+        basis = [{0: x, 1: Polynomial.one(XY)}]
+        assert vector_remainder({0: zero, 1: x}, [], order) == {1: x}
+        assert vector_remainder({}, basis, order) == {}
 
 
 class TestSyzygies:
@@ -123,8 +121,10 @@ class TestSyzygies:
 
 # the rings of the differential test: one with an empty defining ideal, and
 # one whose listed generators are neither monic nor a Groebner basis.  Over
-# the conic the entries are kept homogeneous: on some inhomogeneous 2 x 3 and
-# 3 x 3 matrices there the engine's integer coefficients grow for seconds.
+# the conic the entries are kept homogeneous for the reference: drawn
+# inhomogeneous there, 300 examples took `syzygies` at most 40 ms each and
+# never its budget, but the plain Fraction Buchberger of
+# `oracles.oracle_module_groebner` ran past 20 s on two of them.
 DIFF_RINGS = (
     make_ring(["x", "y"], [1, 1], ["x*y"]),
     make_ring(["a", "b", "c"], [1, 1, 1], ["a*c - b^2"]),
@@ -137,24 +137,26 @@ EXAMPLE_STEPS = 1_000
 
 
 def module_syzygies(rows, algebra, q):
-    """The kernel columns as Singular's `modulo` reads them: one module
-    Groebner basis of the (B e_j, e_j) and the (f e_r, 0), for f in the
-    listed generators, with no element given as a basis; the elements with
-    no component below p, each entry in normal form, without duplicates,
-    sorted by their strings."""
+    """The kernel columns as Singular's `modulo` reads them, with no code of
+    the engine: the reduced module Groebner basis, by
+    `oracles.oracle_module_groebner`, of the (B e_j, e_j) and the (f e_r, 0),
+    for f in the listed generators; the elements with no component below p,
+    each entry in normal form modulo the defining ideal's reduced basis from
+    the same reference, without duplicates, sorted by their strings."""
     sig = algebra.sig
-    order = default_order(sig)
+    key = default_order(sig).key
     p = len(rows)
     gens = [{**{i: rows[i][j] for i in range(p)}, p + j: Polynomial.one(sig)}
             for j in range(q)]
     gens += [{r: f} for f in algebra.defining.gens for r in range(p)]
-    defining = algebra.defining.groebner_basis
+    defining = oracle_module_groebner([{0: f} for f in algebra.defining.gens], key)
+    zero = Polynomial.zero(sig)
     columns = []
-    for g in module_groebner(gens, order):
+    for g in oracle_module_groebner(gens, key):
         if any(pos < p for pos in g):
             continue
-        column = tuple(normal_form_raw(g.get(p + j, Polynomial.zero(sig)),
-                                       defining, order) for j in range(q))
+        column = tuple(oracle_vector_reduce({0: g.get(p + j, zero)}, defining, key)[0]
+                       .get(0, zero) for j in range(q))
         if any(not e.is_zero for e in column) and column not in columns:
             columns.append(column)
     return sorted(columns, key=lambda col: tuple(str(e) for e in col))

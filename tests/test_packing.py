@@ -27,8 +27,8 @@ from difftrace.groebner import (
     eliminate,
     normal_form_raw,
 )
-from difftrace.modsyz import vector_normal_form
 from difftrace.poly import Polynomial, RingSignature, mono_mul, parse_many
+from conftest import vector_remainder
 
 LIMIT = 16383
 
@@ -113,7 +113,7 @@ def test_growth_at_a_later_position_raises():
     x, y = (Polynomial.variable(XY, i) for i in range(2))
     reducer = {0: x, 1: y ** 9000}
     with pytest.raises(ValueError, match=str(LIMIT)):
-        vector_normal_form({0: x ** 9000}, [reducer], WeightedGrevlex((1, 1)))
+        vector_remainder({0: x ** 9000}, [reducer], WeightedGrevlex((1, 1)))
 
 
 def test_cli_reports_the_limit(tmp_path):

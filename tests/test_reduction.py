@@ -3,11 +3,11 @@
 The engine reduces on integers over one common denominator; the reference in
 `tests/oracles.py` is the reduction loop on Fraction coefficients.  Both must
 make the same reductions: the same remainder, exactly, and the same number
-of steps.  Coefficients such as 3/4 and -7/2 and leading coefficients other
-than 1 make the integer loop rescale its vector and its reducers.  An ideal
-run as a rank-1 module must get the same basis in the same steps.  The
-module bases the engine returns are certified by Buchberger's criterion
-with the reference alone: its S-vectors and its division.
+of steps, on polynomials and on the vectors that kernels reduce.
+Coefficients such as 3/4 and -7/2 and leading coefficients other than 1
+make the integer loop rescale its vector and its reducers.  The ideal bases
+the engine returns are certified reduced by Buchberger's criterion with the
+reference alone: its S-polynomials and its division.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from difftrace.groebner import (
     normal_form_raw,
     step_budget,
 )
-from difftrace.modsyz import module_groebner, vector_normal_form
 from difftrace.poly import Polynomial, RingSignature
+from conftest import vector_remainder
 from oracles import oracle_s_vector, oracle_vector_reduce
 
 XYZ = RingSignature.standard("x", "y", "z")
@@ -45,8 +45,8 @@ def polynomials(max_terms: int = 4):
 
 
 @st.composite
-def vectors(draw, rank: int, terms: int = 3):
-    return {i: draw(polynomials(terms)) for i in range(rank)
+def vectors(draw, rank: int):
+    return {i: draw(polynomials(3)) for i in range(rank)
             if draw(st.booleans())}
 
 
@@ -88,36 +88,27 @@ class TestIdealReduction:
 class TestModuleReduction:
     @settings(max_examples=100)
     @given(st.sampled_from(ORDERS), st.integers(2, 3), st.data())
-    def test_against_module_basis(self, order, rank, data):
-        gens = data.draw(st.lists(vectors(rank), min_size=1, max_size=3))
-        v = data.draw(vectors(rank))
-        with step_budget(10 ** 9):
-            basis = module_groebner(gens, order)
-        for g in basis:
-            assert_fraction_coefficients(g.values())
-        with step_budget(10 ** 9) as budget:
-            r = vector_normal_form(v, basis, order)
-        assert_matches_reference(r, budget.used, v, basis, order)
-
-    @settings(max_examples=100)
-    @given(st.sampled_from(ORDERS), st.integers(2, 3), st.data())
     def test_against_generators_with_other_leads(self, order, rank, data):
         gens = data.draw(st.lists(vectors(rank), min_size=1, max_size=4))
         v = data.draw(vectors(rank))
         with step_budget(10 ** 9) as budget:
-            r = vector_normal_form(v, gens, order)
+            r = vector_remainder(v, gens, order)
         assert_matches_reference(r, budget.used, v, gens, order)
 
 
 def assert_reduced_leads_and_certificate(gens, basis, order):
     """Buchberger's criterion on the basis, and membership of every
-    generator, decided by the reference division; no lead divides another."""
+    generator, decided by the reference division; no lead divides another,
+    and each element is monic and its own remainder against the others."""
     leads = []
     for v in basis:
         pos = min(v)
         leads.append((pos, max(v[pos].terms, key=order.key)))
     for (p, a), (q, b) in itertools.permutations(leads, 2):
         assert not (p == q and all(map(le, a, b)))
+    for k, (v, (pos, lead)) in enumerate(zip(basis, leads)):
+        assert v[pos].terms[lead] == 1
+        assert oracle_vector_reduce(v, basis[:k] + basis[k + 1:], order.key) == (v, 0)
     for (f, (p, _)), (g, (q, _)) in itertools.combinations(zip(basis, leads), 2):
         if p == q:
             s = oracle_s_vector(f, g, order.key)
@@ -126,15 +117,14 @@ def assert_reduced_leads_and_certificate(gens, basis, order):
         assert oracle_vector_reduce(g, basis, order.key)[0] == {}
 
 
-class TestModuleGroebnerCertificate:
+class TestIdealGroebnerCertificate:
     @settings(max_examples=100)
-    @given(st.sampled_from(ORDERS), st.integers(2, 3), st.data())
-    def test_engine_basis_passes_the_reference_criterion(self, order, rank, data):
-        # two terms a component keep the kernel's integers small
-        gens = data.draw(st.lists(vectors(rank, 2), min_size=4, max_size=6))
+    @given(st.sampled_from(ORDERS), st.lists(polynomials(), min_size=1, max_size=4))
+    def test_engine_basis_passes_the_reference_criterion(self, order, gens):
         with step_budget(10 ** 9):
-            basis = module_groebner(gens, order)
-        assert_reduced_leads_and_certificate(gens, basis, order)
+            basis = buchberger(gens, order)
+        assert_reduced_leads_and_certificate(
+            [{0: g} for g in gens], [{0: g} for g in basis], order)
 
     def test_duplicate_and_redundant_ideal_leads(self):
         x = Polynomial.variable(XYZ, 0)
@@ -144,34 +134,6 @@ class TestModuleGroebnerCertificate:
             assert basis == (x,)
             assert_reduced_leads_and_certificate(
                 [{0: g} for g in gens], [{0: g} for g in basis], order)
-
-    def test_duplicate_module_leads(self):
-        # both lead with x in position 0; their S-vector is (0, 1)
-        x, one = Polynomial.variable(XYZ, 0), Polynomial.one(XYZ)
-        gens = [{0: x, 1: one}, {0: x}]
-        for order in ORDERS:
-            basis = module_groebner(gens, order)
-            assert basis == [{0: x}, {1: one}]
-            assert_reduced_leads_and_certificate(gens, basis, order)
-
-
-class TestIdealAsRankOneModule:
-    @settings(max_examples=100)
-    @given(st.sampled_from(ORDERS), st.lists(polynomials(), min_size=1, max_size=4))
-    def test_same_basis_and_steps(self, order, gens):
-        with step_budget(10 ** 9) as ideal_budget:
-            basis = buchberger(gens, order)
-        with step_budget(10 ** 9) as module_budget:
-            module = module_groebner([{0: g} for g in gens], order)
-        assert module == [{0: g} for g in basis]
-        assert module_budget.used == ideal_budget.used
-
-    def test_coprime_leads_of_module_pairs_are_not_skipped(self):
-        # the leads x and y are coprime, but y*(x, 1) - x*(y, 0) = (0, y)
-        # does not reduce to zero: the coprime-lead criterion is for rank 1
-        x, y = Polynomial.variable(XYZ, 0), Polynomial.variable(XYZ, 1)
-        basis = module_groebner([{0: x, 1: Polynomial.one(XYZ)}, {0: y}], ORDERS[0])
-        assert {1: y} in basis
 
 
 def test_denominator_grows_past_a_machine_word():
