@@ -106,6 +106,13 @@ class TestSyzygies:
         for col in K:
             assert oracle_in_span(col, [koszul], [0, 0], quotient)
 
+    def test_coprime_leads_of_module_pairs_are_not_skipped(self):
+        # (x, 1, 0) and (y, 0, 1) lead with the coprime x and y, but
+        # y*(x, 1, 0) - x*(y, 0, 1) = (0, y, -x) is not zero: it is the kernel
+        plane = make_ring(["x", "y"], [1, 1], [])
+        K = syzygies([parse_many(["x", "y"], XY)], plane)
+        assert [[str(e) for e in col] for col in K] == [["y", "-x"]]
+
     def test_node_kernel_exact(self, node):
         rows = [parse_many(["y", "x"], XY)]
         K = syzygies(rows, node)

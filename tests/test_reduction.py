@@ -7,7 +7,9 @@ of steps, on polynomials and on the vectors that kernels reduce.
 Coefficients such as 3/4 and -7/2 and leading coefficients other than 1
 make the integer loop rescale its vector and its reducers.  The ideal bases
 the engine returns are certified reduced by Buchberger's criterion with the
-reference alone: its S-polynomials and its division.
+reference alone: its S-polynomials and its division.  So are the module
+bases of `oracles.oracle_module_groebner`, the reference for kernels, which
+must also give an ideal, as a rank-1 module, the engine's basis.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from difftrace.groebner import (
 )
 from difftrace.poly import Polynomial, RingSignature
 from conftest import vector_remainder
-from oracles import oracle_s_vector, oracle_vector_reduce
+from oracles import oracle_module_groebner, oracle_s_vector, oracle_vector_reduce
 
 XYZ = RingSignature.standard("x", "y", "z")
 ORDERS = (WeightedGrevlex(XYZ.weights), BlockOrder(XYZ.weights, 1))
@@ -45,8 +47,8 @@ def polynomials(max_terms: int = 4):
 
 
 @st.composite
-def vectors(draw, rank: int):
-    return {i: draw(polynomials(3)) for i in range(rank)
+def vectors(draw, rank: int, terms: int = 3):
+    return {i: draw(polynomials(terms)) for i in range(rank)
             if draw(st.booleans())}
 
 
@@ -86,6 +88,17 @@ class TestIdealReduction:
 
 
 class TestModuleReduction:
+    @settings(max_examples=100)
+    @given(st.sampled_from(ORDERS), st.integers(2, 3), st.data())
+    def test_against_module_basis(self, order, rank, data):
+        # two terms a component keep the reference's Fraction Buchberger quick
+        gens = data.draw(st.lists(vectors(rank, 2), min_size=1, max_size=3))
+        v = data.draw(vectors(rank))
+        basis = oracle_module_groebner(gens, order.key)
+        with step_budget(10 ** 9) as budget:
+            r = vector_remainder(v, basis, order)
+        assert_matches_reference(r, budget.used, v, basis, order)
+
     @settings(max_examples=100)
     @given(st.sampled_from(ORDERS), st.integers(2, 3), st.data())
     def test_against_generators_with_other_leads(self, order, rank, data):
@@ -134,6 +147,36 @@ class TestIdealGroebnerCertificate:
             assert basis == (x,)
             assert_reduced_leads_and_certificate(
                 [{0: g} for g in gens], [{0: g} for g in basis], order)
+
+
+class TestModuleGroebnerCertificate:
+    @settings(max_examples=100)
+    @given(st.sampled_from(ORDERS), st.integers(2, 3), st.data())
+    def test_reference_basis_passes_the_criterion(self, order, rank, data):
+        gens = data.draw(st.lists(vectors(rank, 2), min_size=2, max_size=4))
+        basis = oracle_module_groebner(gens, order.key)
+        assert_reduced_leads_and_certificate(gens, basis, order)
+        keys = [(min(v), order.key(max(v[min(v)].terms, key=order.key))) for v in basis]
+        assert keys == sorted(keys)
+
+    def test_duplicate_module_leads(self):
+        # both lead with x in position 0; their S-vector is (0, 1)
+        x, one = Polynomial.variable(XYZ, 0), Polynomial.one(XYZ)
+        gens = [{0: x, 1: one}, {0: x}]
+        for order in ORDERS:
+            basis = oracle_module_groebner(gens, order.key)
+            assert basis == [{0: x}, {1: one}]
+            assert_reduced_leads_and_certificate(gens, basis, order)
+
+
+class TestIdealAsRankOneModule:
+    @settings(max_examples=100)
+    @given(st.sampled_from(ORDERS), st.lists(polynomials(3), min_size=1, max_size=4))
+    def test_same_basis_as_the_module_reference(self, order, gens):
+        with step_budget(10 ** 9):
+            basis = buchberger(gens, order)
+        reference = oracle_module_groebner([{0: g} for g in gens], order.key)
+        assert reference == [{0: g} for g in basis]
 
 
 def test_denominator_grows_past_a_machine_word():
