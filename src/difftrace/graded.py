@@ -150,6 +150,17 @@ def _kernel(entries: Sequence[list], shifts: Sequence[int], quotient: _Quotient,
             for lead, row in pivots.items() if lead[0] == 0]
 
 
+def _relation_entries(P: ModulePresentation) -> list[list]:
+    """For each generator t, (relation index, terms, degree) of the entry
+    at t of each relation nonzero at t."""
+    entries: list[list] = [[] for _ in range(P.target_rank)]
+    for index, relation in enumerate(P.columns):
+        for t, entry in enumerate(relation):
+            if not entry.is_zero:
+                entries[t].append((index, entry.terms, entry.homogeneous_degree()))
+    return entries
+
+
 def _trace_piece(entries: Sequence[list], shifts: Sequence[int],
                  quotient: _Quotient, degree: int) -> dict[Exponents, Row]:
     """Echelon form of the degree-`degree` piece of the trace ideal in R:
@@ -185,11 +196,7 @@ def trace_contains(P: ModulePresentation, shifts: Sequence[int],
         coordinates = quotient.coordinates(p.terms, degree)
         if coordinates:
             wanted.setdefault(degree, []).append(coordinates)
-    entries: list[list] = [[] for _ in shifts]
-    for index, relation in enumerate(P.columns):
-        for t, entry in enumerate(relation):
-            if not entry.is_zero:
-                entries[t].append((index, entry.terms, entry.homogeneous_degree()))
+    entries = _relation_entries(P)
     for degree, targets in sorted(wanted.items()):
         piece = _trace_piece(entries, shifts, quotient, degree)
         if any(_reduce(piece, target, budget) for target in targets):

@@ -40,6 +40,9 @@ settings.load_profile("suite")
 
 # the sample ring files shipped in rings/
 RING_FILES = sorted((Path(__file__).resolve().parent.parent / "rings").glob("*.ring"))
+# with the test rings of tests/data/rings/
+ALL_RINGS = RING_FILES + sorted((Path(__file__).resolve().parent / "data" / "rings")
+                                .glob("*.ring"))
 
 
 def ring_powers():

@@ -1,6 +1,10 @@
 import pytest
 
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
 from conftest import (
+    ALL_RINGS,
     RING_FILES,
     build_corpus,
     corpus_powers,
@@ -9,8 +13,10 @@ from conftest import (
     ring_powers,
     wedge_shifts,
 )
+from difftrace import graded
 from difftrace.groebner import (
     BudgetExceededError,
+    StepBudget,
     ideal_contains,
     ideal_equals,
     ideal_membership,
@@ -21,7 +27,7 @@ from difftrace.groebner import (
 from difftrace.modsyz import exterior_power_presentation, kernel_columns
 from difftrace.poly import Polynomial, parse_polynomial
 from difftrace.ringfile import load_ring
-from difftrace.rings import AssumptionError
+from difftrace.rings import AssumptionError, GradedAlgebra
 from difftrace.simplicial import iso_classes, stanley_reisner_algebra
 from difftrace.traces import (
     diff_trace,
@@ -40,6 +46,7 @@ from oracles import (
     oracle_span_dimension,
     oracle_trace_dimension,
 )
+from strategies import homogeneous_polynomials, signatures
 
 # the trace oracle compares the trace ideals in degrees up to this
 TRACE_ORACLE_MAX_DEGREE = 3
@@ -372,11 +379,13 @@ class TestBudgetAbortLeavesNoPoisonedCache:
             assert question(algebra) == question(fresh), question.__name__
 
     @pytest.mark.parametrize("stem, question", [("plane", polynomial_rank),
-                                                 ("quadric", is_nearly_regular)])
+                                                 ("quadric", is_nearly_regular),
+                                                 ("twisted", is_nearly_regular)])
     def test_graded_solve_counts_against_the_budget(self, stem, question):
         """With the dimension known, the graded solve ticks the budget, and a
-        budget with one step too few left aborts it."""
-        path = next(p for p in RING_FILES if p.stem == stem)
+        budget with one step too few left aborts it.  The pieces of I of the
+        twisted cubic's cone are not spanned by monomials."""
+        path = next(p for p in ALL_RINGS if p.stem == stem)
         algebra = load_ring(str(path)).algebra
         algebra.dimension
         with step_budget(10 ** 9) as budget:
@@ -434,16 +443,21 @@ class TestGradedAnswersMatchGroebner:
 
 
 def _assert_trace_slices_match_oracle(algebra, k):
-    """Degree by degree, diff_trace read in R has the dimension of the span
-    of the kernel entries solved as a linear system over Q."""
+    """Degree by degree, diff_trace read in R, and the trace piece of the
+    graded solver, have the dimension of the span of the kernel entries
+    solved as a linear system over Q."""
     sig, gens = algebra.sig, algebra.defining.gens
     P = exterior_power_presentation(kaehler_presentation(algebra), k)
     shifts = wedge_shifts(sig, k)
     quotient = QuotientSlices(gens, sig)
+    solver = graded._Quotient(algebra, StepBudget())
+    entries = graded._relation_entries(P)
     trace = [(g,) for g in diff_trace(algebra, k).gens]
     for degree in range(TRACE_ORACLE_MAX_DEGREE + 1):
         expected = oracle_trace_dimension(P.columns, shifts, quotient, degree)
         assert oracle_span_dimension(trace, [0], quotient, degree) == expected, degree
+        assert len(graded._trace_piece(entries, shifts, solver, degree)) == expected, \
+            degree
 
 
 class TestTraceIdealOracle:
@@ -454,3 +468,25 @@ class TestTraceIdealOracle:
     @pytest.mark.parametrize("name, k", corpus_powers())
     def test_corpus_degree_slices_match_linear_algebra(self, corpus, name, k):
         _assert_trace_slices_match_oracle(corpus[name].algebra, k)
+
+
+class TestGradedQuotientOracle:
+    @given(st.data())
+    def test_basis_and_coordinates_match_the_slices(self, data):
+        """The graded solver's R_d, on an ideal that is not monomial, has the
+        standard monomials of the Fraction slices as its basis, and gives an
+        element the same coordinates on them."""
+        sig = data.draw(signatures())
+        gens = data.draw(st.lists(homogeneous_polynomials(sig, max_degree=3,
+                                                          max_terms=3),
+                                  min_size=1, max_size=3))
+        assume(any(len(g.terms) > 1 for g in gens))
+        p = data.draw(homogeneous_polynomials(sig, max_degree=5))
+        degree = p.homogeneous_degree()
+        solver = graded._Quotient(GradedAlgebra(sig, gens), StepBudget())
+        oracle = QuotientSlices(gens, sig)
+        terms = dict(p.terms)
+        assert solver.coordinates(p.terms, degree) == oracle.reduce(p)
+        assert p.terms == terms
+        for d in range(degree + 1):
+            assert solver.basis(d) == oracle.basis(d), d
