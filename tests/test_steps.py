@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import RING_FILES
+from conftest import ALL_RINGS
 from difftrace.constructions import (
     fiber_product,
     predicted_fiber_trace,
@@ -35,6 +35,7 @@ from difftrace.ringfile import load_ring
 from difftrace.traces import (
     diff_trace,
     is_nearly_regular,
+    polynomial_rank,
     radical_equal,
     singular_locus_jacobian,
     singular_locus_trace,
@@ -42,7 +43,8 @@ from difftrace.traces import (
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).resolve().parent / "data" / "steps.json"
-ALL_RINGS = RING_FILES + sorted((ROOT / "tests" / "data" / "rings").glob("*.ring"))
+# the frontier ring of the graded solver: 10 variables, 27 quadrics
+VERONESE = "tests/data/veronese_p2_d3.ring"
 TENSOR_PAIRS = (("rings/node.ring", "rings/cusp.ring"),
                 ("rings/node.ring", "tests/data/rings/umbrella.ring"))
 FIBER_PAIRS = (("rings/node.ring", "rings/cusp.ring"),)
@@ -57,6 +59,14 @@ def _trace_chain(path):
     algebra = _load(path)
     for power in range(algebra.dimension + 2):
         algebra.presented_generators(diff_trace(algebra, power))
+
+
+def _graded(path):
+    """The yes/no questions of `classify` with no trace cached, solved on
+    graded pieces (after the dimension, which the questions need)."""
+    algebra = _load(path)
+    is_nearly_regular(algebra)
+    polynomial_rank(algebra)
 
 
 def _cross_check(path):
@@ -92,9 +102,11 @@ def computations() -> dict[str, object]:
     for path in ALL_RINGS:
         rel = path.relative_to(ROOT).as_posix()
         out[f"chain {rel}"] = functools.partial(_trace_chain, rel)
+        out[f"graded {rel}"] = functools.partial(_graded, rel)
         flags = load_ring(str(path)).algebra
         if flags.asserted_reduced and flags.asserted_equidimensional:
             out[f"cross-check {rel}"] = functools.partial(_cross_check, rel)
+    out[f"graded {VERONESE}"] = functools.partial(_graded, VERONESE)
     for a, b in TENSOR_PAIRS:
         out[f"tensor {a} {b}"] = functools.partial(_tensor, a, b)
     for a, b in FIBER_PAIRS:
