@@ -11,9 +11,14 @@ pieces of a trace (does it hold the variables, does it hold 1) is settled by
 Gaussian elimination, without a module Groebner basis of the whole trace.
 
 Each R_d has the standard monomials of degree d as its basis: those that
-lead no row of the echelon form of I_d, the span of the products m * g of
-degree d with g a defining generator.  Every row subtraction ticks the
-ambient step budget.  Nothing is kept between calls.
+lead no row of the reduced echelon form of I_d, the span of the products
+m * g of degree d with g a defining generator.  Reduced, each lead equals
+minus its row's tail in R, and the tail lies on standard monomials, so an
+element's coordinates take one pass over its terms.  One step of the
+ambient budget is one row subtraction: in building a piece of I, a kernel
+or a trace piece, and for each term of an element that leads a row of I_d.
+A piece is built once per call, when first met; nothing is kept between
+calls.
 """
 
 from __future__ import annotations
@@ -76,51 +81,94 @@ def _insert(pivots: dict, vec: Row, budget: StepBudget) -> None:
     if vec:
         lead = max(vec)
         c = vec[lead]
-        pivots[lead] = {key: a / c for key, a in vec.items()}
+        pivots[lead] = vec if c == 1 else {key: a / c for key, a in vec.items()}
+
+
+def _add(row: dict, key: Hashable, c: Fraction) -> None:
+    """row[key] += c, dropping the key once it reaches zero."""
+    v = row.pop(key, None)
+    if v is None:
+        row[key] = c
+    else:
+        v += c
+        if v:
+            row[key] = v
 
 
 class _Quotient:
-    """The graded pieces of R met during one call, each stored once complete."""
+    """The graded pieces of R met during one call: each degree's monomials
+    and each piece of I in reduced echelon form, made once, when first met,
+    and stored once complete."""
 
     def __init__(self, algebra: GradedAlgebra, budget: StepBudget):
         self.sig = algebra.sig
         self.gens = [(g, g.homogeneous_degree()) for g in algebra.defining.gens]
         self.budget = budget
-        self._pivots: dict[int, dict[Exponents, Row]] = {}
+        self._monomials: dict[int, list[Exponents]] = {}
+        self._tails: dict[int, dict[Exponents, Row]] = {}
         self._bases: dict[int, list[Exponents]] = {}
 
-    def pivots(self, degree: int) -> dict[Exponents, Row]:
-        """Echelon form of I_degree, each row led by its largest monomial."""
-        got = self._pivots.get(degree)
+    def monomials(self, degree: int) -> list[Exponents]:
+        """The monomials of degree `degree`, made once per call."""
+        got = self._monomials.get(degree)
         if got is None:
-            got = {}
+            got = self._monomials[degree] = monomials_of_weighted_degree(self.sig, degree)
+        return got
+
+    def tails(self, degree: int) -> dict[Exponents, Row]:
+        """I_degree in reduced echelon form: each lead monomial maps to the
+        tail of its monic row, which lies on the standard monomials, so the
+        lead is minus its tail in R.
+
+        The echelon form is built first, then back-substituted in ascending
+        lead order: each row less its tail's multiples of the rows below.
+        """
+        got = self._tails.get(degree)
+        if got is None:
+            pivots: dict[Exponents, Row] = {}
             for g, g_degree in self.gens:
-                for m in monomials_of_weighted_degree(self.sig, degree - g_degree):
-                    _insert(got, dict(g.mul_monomial(m).terms), self.budget)
-            self._pivots[degree] = got
+                for m in self.monomials(degree - g_degree):
+                    _insert(pivots, dict(g.mul_monomial(m).terms), self.budget)
+            got = {}
+            for lead in sorted(pivots):
+                tail: Row = {}
+                for key, a in pivots[lead].items():
+                    if key == lead:
+                        continue
+                    below = got.get(key)
+                    if below is None:
+                        _add(tail, key, a)
+                    else:
+                        self.budget.tick()
+                        for e, b in below.items():
+                            _add(tail, e, -a * b)
+                got[lead] = tail
+            self._tails[degree] = got
         return got
 
     def basis(self, degree: int) -> list[Exponents]:
         """The standard monomials of degree `degree`: a basis of R_degree."""
         got = self._bases.get(degree)
         if got is None:
-            pivots = self.pivots(degree)
-            got = [m for m in monomials_of_weighted_degree(self.sig, degree)
-                   if m not in pivots]
-            self._bases[degree] = got
+            tails = self.tails(degree)
+            got = self._bases[degree] = [m for m in self.monomials(degree)
+                                         if m not in tails]
         return got
 
     def coordinates(self, terms: dict[Exponents, Fraction], degree: int) -> Row:
         """The terms of a homogeneous element of R_degree, on the standard
-        monomials."""
-        pivots = self.pivots(degree)
-        vec: Row = terms
+        monomials: a standard term is kept, and a lead term of I_degree is
+        replaced by minus its tail, one tick each."""
+        tails = self.tails(degree)
         out: Row = {}
-        while vec:
-            vec = _reduce(pivots, vec, self.budget)
-            if vec:
-                lead = max(vec)
-                out[lead] = vec.pop(lead)
+        for e, c in terms.items():
+            tail = tails.get(e)
+            if tail is None:
+                _add(out, e, c)
+            else:
+                self.budget.tick()
+                for key, a in tail.items():
+                    _add(out, key, -c * a)
         return out
 
 
@@ -134,18 +182,32 @@ def _kernel(entries: Sequence[list], shifts: Sequence[int], quotient: _Quotient,
     row holds its image under the relations, keyed (1, relation index,
     monomial), and a tag (0, its index); tags sort below image keys, so the
     rows whose image eliminates to zero end led by a tag, and their tag
-    parts span the kernel.
+    parts span the kernel.  Each image term is written into the row on the
+    standard monomials as it is made, as in `_Quotient.coordinates`.
     """
-    unknowns = [(t, m) for t, shift in enumerate(shifts)
-                for m in quotient.basis(delta + shift)]
+    budget = quotient.budget
+    unknowns: list[tuple[int, Exponents]] = []
     pivots: dict = {}
-    for i, (t, m) in enumerate(unknowns):
-        row: Row = {(0, i): Fraction(1)}
-        for index, terms, degree in entries[t]:
-            image = {mono_mul(e, m): c for e, c in terms.items()}
-            for e, c in quotient.coordinates(image, degree + delta + shifts[t]).items():
-                row[(1, index, e)] = c
-        _insert(pivots, row, quotient.budget)
+    for t, shift in enumerate(shifts):
+        basis = quotient.basis(delta + shift)
+        if not basis:
+            continue
+        images = [(index, terms, quotient.tails(degree + delta + shift))
+                  for index, terms, degree in entries[t]]
+        for m in basis:
+            row: Row = {(0, len(unknowns)): Fraction(1)}
+            unknowns.append((t, m))
+            for index, terms, tails in images:
+                for e, c in terms.items():
+                    e = mono_mul(e, m)
+                    tail = tails.get(e)
+                    if tail is None:
+                        _add(row, (1, index, e), c)
+                    else:
+                        budget.tick()
+                        for key, a in tail.items():
+                            _add(row, (1, index, key), -c * a)
+            _insert(pivots, row, budget)
     return [{unknowns[key[1]]: c for key, c in row.items()}
             for lead, row in pivots.items() if lead[0] == 0]
 
