@@ -1,5 +1,4 @@
 import pytest
-
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
