@@ -6,11 +6,14 @@ the budget's `used` count must equal the one stored in
 same reductions leaves every count as it is; a change to pair selection,
 criteria or reducer choice shows here first.  A step is one S-pair taken
 for reduction, one reduction step or one row subtraction of the graded
-solver.  The stored file was written once ideals of a quotient started
-from the defining ideal's cached basis, elimination handed its basis over,
-and minimalization took no pair above its largest candidate degree.  To
-write it again from the code on the path (only from code whose counts are
-trusted), printing `name: old → new` for each computation:
+solver.  The list includes `is_nearly_regular` on each pure census class
+(fresh algebra, dimension included); those counts add up to the steps of
+one round of the census benchmark.  The stored file was written once
+ideals of a quotient started from the defining ideal's cached basis,
+elimination handed its basis over, and minimalization took no pair above
+its largest candidate degree.  To write it again from the code on the
+path (only from code whose counts are trusted), printing `name: old → new`
+for each computation:
 
     PYTHONPATH=src python tests/test_steps.py
 """
@@ -32,6 +35,7 @@ from difftrace.constructions import (
 )
 from difftrace.groebner import ideal_equals, step_budget
 from difftrace.ringfile import load_ring
+from difftrace.simplicial import iso_classes, stanley_reisner_algebra
 from difftrace.traces import (
     diff_trace,
     is_nearly_regular,
@@ -48,6 +52,10 @@ VERONESE = "tests/data/veronese_p2_d3.ring"
 TENSOR_PAIRS = (("rings/node.ring", "rings/cusp.ring"),
                 ("rings/node.ring", "tests/data/rings/umbrella.ring"))
 FIBER_PAIRS = (("rings/node.ring", "rings/cusp.ring"),)
+# the census benchmark's questions: the classes on at most 5 vertices whose
+# components are pure, and the steps of one round over all of them
+CENSUS = [d for d in iso_classes(5) if all(p.is_pure for p in d.components)]
+CENSUS_STEPS = 11036
 
 
 def _load(path) -> object:
@@ -97,6 +105,12 @@ def _fiber(path_a, path_b):
     is_nearly_regular(product)
 
 
+def _census(delta):
+    """Nearly-regularity of a face ring, its dimension included."""
+    is_nearly_regular(stanley_reisner_algebra(delta))
+
+
+@functools.cache
 def computations() -> dict[str, object]:
     out = {}
     for path in ALL_RINGS:
@@ -111,6 +125,8 @@ def computations() -> dict[str, object]:
         out[f"tensor {a} {b}"] = functools.partial(_tensor, a, b)
     for a, b in FIBER_PAIRS:
         out[f"fiber {a} {b}"] = functools.partial(_fiber, a, b)
+    for delta in CENSUS:
+        out[f"census {delta.describe()}"] = functools.partial(_census, delta)
     return out
 
 
@@ -132,6 +148,13 @@ def test_stored_names_are_the_listed_computations():
 @pytest.mark.parametrize("name", sorted(computations()))
 def test_step_count(name):
     assert steps_of(computations()[name]) == _stored()[name]
+
+
+def test_census_round_total():
+    """The stored census counts add up to the census benchmark's steps."""
+    counts = [n for name, n in _stored().items() if name.startswith("census ")]
+    assert len(counts) == len(CENSUS) == 98
+    assert sum(counts) == CENSUS_STEPS
 
 
 if __name__ == "__main__":
