@@ -186,6 +186,7 @@ def monic(p: Polynomial, order: Order) -> Polynomial:
 _FIELD = 16  # bits per field, read back as little-endian unsigned shorts
 _BIAS = (1 << (_FIELD - 1)) - 1
 _MAX_DEGREE = (1 << (_FIELD - 2)) - 1
+_WHOLE = (1 << _FIELD) - 1  # every bit of one field
 
 
 class _Packing:
@@ -193,7 +194,7 @@ class _Packing:
     variables in its first block if it has two (0 for weighted grevlex)."""
 
     __slots__ = ("layout", "base", "guards", "dividing", "over", "top",
-                 "_cut", "_back", "_blocks", "_fields", "_size")
+                 "_cut", "_back", "_blocks", "_weight_masks", "_fields", "_size")
 
     def __init__(self, weights: tuple[int, ...], cut: int):
         n = len(weights)
@@ -202,15 +203,21 @@ class _Packing:
         blocks = ([(n - cut, weights[cut:]), (cut, weights[:cut])] if cut
                   else [(n, weights)])
         self._blocks = []
+        # per block: its degree field's offset and, for each distinct weight,
+        # a mask of the block's variable fields of that weight
+        self._weight_masks = []
         self.base = self.dividing = self.over = 0
         start = field = 0
         for count, block_weights in blocks:
-            for k in range(field, field + count):
+            masks: dict[int, int] = {}
+            for k, w in zip(range(field, field + count), block_weights):
                 self.base |= _BIAS << (_FIELD * k)
                 self.dividing |= 1 << (_FIELD * k + _FIELD - 1)
+                masks[w] = masks.get(w, 0) | (_WHOLE << (_FIELD * k))
             degree = _FIELD * (field + count)
             self.over |= 1 << (degree + _FIELD - 2)
             self._blocks.append((slice(start, start + count), block_weights, degree))
+            self._weight_masks.append((degree, tuple(masks.items())))
             start += count
             field += count + 1
         self.top = degree  # the first block's degree field
@@ -245,12 +252,26 @@ class _Packing:
 
     def lcm(self, a: int, b: int) -> int:
         """The lcm of two packed monomials, by the smaller of each pair of
-        variable fields."""
+        variable fields.
+
+        Its degree fields are summed from the exponents (low ^ base) without
+        unpacking them: 2^_FIELD is 1 modulo _WHOLE, so the remainder of the
+        fields under one weight's mask is their sum.  The sum is exact, as
+        it is at most the two monomials' block degrees together, at most
+        2 * _MAX_DEGREE < _WHOLE.
+        """
         ge = ((a | self.guards) - b) & self.dividing  # where a's field is >= b's
         keep = ge - (ge >> (_FIELD - 1))
         low = (b & keep) | (a & self.base & ~keep)
-        fields = self._fields.unpack((low ^ self.base).to_bytes(self._size, "little"))
-        return low | self._degrees(fields)
+        exps = low ^ self.base
+        for offset, masks in self._weight_masks:
+            degree = 0
+            for w, mask in masks:
+                degree += w * ((exps & mask) % _WHOLE)
+            if degree > _MAX_DEGREE:
+                raise self.overflow()
+            low |= degree << offset
+        return low
 
     @staticmethod
     def overflow() -> DegreeLimitError:

@@ -80,6 +80,29 @@ def test_the_limit_is_exact(order):
             packing.pack(over)
 
 
+@pytest.mark.parametrize("order", [WeightedGrevlex((1, 2, 1)), WeightedGrevlex((3, 1, 1)),
+                                   BlockOrder((1, 2, 1), 1), BlockOrder((1, 2, 1), 2)],
+                         ids=["grevlex", "grevlex-3", "block-1", "block-2"])
+def test_lcm_at_the_limit(order):
+    """An lcm of monomials within the limit is packed exactly, or raises
+    when one block's degree goes past it, up to twice the limit."""
+    packing = order._packing
+    half = LIMIT // 2
+    # each variable alone at the limit, and a few monomials below it
+    tops = [tuple(LIMIT // w if i == k else 0 for i in range(3))
+            for k, w in enumerate(packing.layout[0])]
+    cases = tops + [(half, 0, half + 1), (half + 1, 0, half), (0, half // 2, 0), (3, 5, 7)]
+    for a in cases:
+        for b in cases:
+            try:
+                expected = packing.pack(tuple(map(max, a, b)))
+            except DegreeLimitError:
+                with pytest.raises(DegreeLimitError, match=str(LIMIT)):
+                    packing.lcm(packing.pack(a), packing.pack(b))
+            else:
+                assert packing.lcm(packing.pack(a), packing.pack(b)) == expected
+
+
 XY = RingSignature.standard("x", "y")
 
 
