@@ -14,24 +14,38 @@ Each R_d has the standard monomials of degree d as its basis: those that
 lead no row of the reduced echelon form of I_d, the span of the products
 m * g of degree d with g a defining generator.  Reduced, each lead equals
 minus its row's tail in R, and the tail lies on standard monomials, so an
-element's coordinates take one pass over its terms.  One step of the
-ambient budget is one row subtraction: in building a piece of I, a kernel
-or a trace piece, and for each term of an element that leads a row of I_d.
-A piece is built once per call, when first met; nothing is kept between
-calls.
+element's coordinates take one pass over its terms.
+
+Every value held in a row is exact: an `int` where it is integral and no
+division has touched it, a `Fraction` where a division forces one, and
+never a float.  The generators of I, the relation entries and the
+elements asked about enter as ints when their denominators are 1, and a
+row is divided only to make its lead 1 (`_insert`), so on a ring with
+integer coefficients most rows stay on ints.
+
+One step of the ambient budget is one row subtraction: in building a
+piece of I, a kernel or a trace piece, and for each term of an element
+that leads a row of I_d.  A piece is built once per call, when first met;
+nothing is kept between calls.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Hashable, Sequence
 
 from .groebner import StepBudget, current_budget
 from .modsyz import ModulePresentation
-from .poly import Exponents, Polynomial, RingSignature, mono_mul
+from .poly import Exponents, Polynomial, RingSignature, Scalar, mono_mul
 from .rings import GradedAlgebra
 
-Row = dict[Hashable, Fraction]
+Row = dict[Hashable, Scalar]
+
+
+def _exact(terms: dict[Exponents, Fraction]) -> dict[Exponents, Scalar]:
+    """The terms with every integral coefficient as an int."""
+    return {e: c.numerator if c.denominator == 1 else c for e, c in terms.items()}
 
 
 def monomials_of_weighted_degree(sig: RingSignature, degree: int) -> list[Exponents]:
@@ -76,15 +90,27 @@ def _reduce(pivots: dict, vec: Row, budget: StepBudget) -> Row:
 
 
 def _insert(pivots: dict, vec: Row, budget: StepBudget) -> None:
-    """Add vec to the echelon form, as a monic row led by its largest key."""
+    """Add vec to the echelon form, as a monic row led by its largest key.
+
+    Values stay exact and keep their types where they can: a row led by 1
+    is stored as it is, one led by -1 is negated, and any other row is
+    multiplied by 1 / Fraction(lead), so its values become Fractions.  (A
+    plain a / c on two ints would give a float.)
+    """
     vec = _reduce(pivots, vec, budget)
     if vec:
         lead = max(vec)
         c = vec[lead]
-        pivots[lead] = vec if c == 1 else {key: a / c for key, a in vec.items()}
+        if c == 1:
+            pivots[lead] = vec
+        elif c == -1:
+            pivots[lead] = {key: -a for key, a in vec.items()}
+        else:
+            inverse = 1 / Fraction(c)
+            pivots[lead] = {key: a * inverse for key, a in vec.items()}
 
 
-def _add(row: dict, key: Hashable, c: Fraction) -> None:
+def _add(row: dict, key: Hashable, c: Scalar) -> None:
     """row[key] += c, dropping the key once it reaches zero."""
     v = row.pop(key, None)
     if v is None:
@@ -102,7 +128,8 @@ class _Quotient:
 
     def __init__(self, algebra: GradedAlgebra, budget: StepBudget):
         self.sig = algebra.sig
-        self.gens = [(g, g.homogeneous_degree()) for g in algebra.defining.gens]
+        self.gens = [(_exact(g.terms), g.homogeneous_degree())
+                     for g in algebra.defining.gens]
         self.budget = budget
         self._monomials: dict[int, list[Exponents]] = {}
         self._tails: dict[int, dict[Exponents, Row]] = {}
@@ -128,7 +155,8 @@ class _Quotient:
             pivots: dict[Exponents, Row] = {}
             for g, g_degree in self.gens:
                 for m in self.monomials(degree - g_degree):
-                    _insert(pivots, dict(g.mul_monomial(m).terms), self.budget)
+                    _insert(pivots, {mono_mul(e, m): c for e, c in g.items()},
+                            self.budget)
             got = {}
             for lead in sorted(pivots):
                 tail: Row = {}
@@ -155,7 +183,7 @@ class _Quotient:
                                          if m not in tails]
         return got
 
-    def coordinates(self, terms: dict[Exponents, Fraction], degree: int) -> Row:
+    def coordinates(self, terms: dict[Exponents, Scalar], degree: int) -> Row:
         """The terms of a homogeneous element of R_degree, on the standard
         monomials: a standard term is kept, and a lead term of I_degree is
         replaced by minus its tail, one tick each."""
@@ -173,7 +201,7 @@ class _Quotient:
 
 
 def _kernel(entries: Sequence[list], shifts: Sequence[int], quotient: _Quotient,
-            delta: int) -> list[dict[tuple[int, Exponents], Fraction]]:
+            delta: int) -> list[dict[tuple[int, Exponents], Scalar]]:
     """A Q-basis of the degree-delta homomorphisms, each keyed by (t, m)
     for m a standard monomial of degree delta + shifts[t].
 
@@ -195,11 +223,11 @@ def _kernel(entries: Sequence[list], shifts: Sequence[int], quotient: _Quotient,
         images = [(index, terms, quotient.tails(degree + delta + shift))
                   for index, terms, degree in entries[t]]
         for m in basis:
-            row: Row = {(0, len(unknowns)): Fraction(1)}
+            row: Row = {(0, len(unknowns)): 1}
             unknowns.append((t, m))
             for index, terms, tails in images:
                 for e, c in terms.items():
-                    e = mono_mul(e, m)
+                    e = tuple(map(add, e, m))
                     tail = tails.get(e)
                     if tail is None:
                         _add(row, (1, index, e), c)
@@ -212,14 +240,30 @@ def _kernel(entries: Sequence[list], shifts: Sequence[int], quotient: _Quotient,
             for lead, row in pivots.items() if lead[0] == 0]
 
 
-def _relation_entries(P: ModulePresentation) -> list[list]:
+def _relation_entries(P: ModulePresentation, shifts: Sequence[int]) -> list[list]:
     """For each generator t, (relation index, terms, degree) of the entry
-    at t of each relation nonzero at t."""
+    at t of each relation nonzero at t, its terms exact (`_exact`).
+
+    Each relation is homogeneous: entry t has degree D - shifts[t] for one
+    D per relation, read off one term of its first nonzero entry.
+    """
+    degree_of = P.algebra.sig.degree_of
+    # each entry's exact terms by the id of its terms: a wedge repeats one
+    # entry object across relations, and P keeps every one alive
+    exact: dict[int, dict[Exponents, Scalar]] = {}
     entries: list[list] = [[] for _ in range(P.target_rank)]
     for index, relation in enumerate(P.columns):
+        total = None
         for t, entry in enumerate(relation):
-            if not entry.is_zero:
-                entries[t].append((index, entry.terms, entry.homogeneous_degree()))
+            terms = entry.terms
+            if not terms:
+                continue
+            if total is None:
+                total = degree_of(next(iter(terms))) + shifts[t]
+            got = exact.get(id(terms))
+            if got is None:
+                got = exact[id(terms)] = _exact(terms)
+            entries[t].append((index, got, total - shifts[t]))
     return entries
 
 
@@ -255,10 +299,10 @@ def trace_contains(P: ModulePresentation, shifts: Sequence[int],
         degree = p.homogeneous_degree()
         if degree is None:
             raise ValueError(f"trace_contains needs homogeneous elements, got {p}")
-        coordinates = quotient.coordinates(p.terms, degree)
+        coordinates = quotient.coordinates(_exact(p.terms), degree)
         if coordinates:
             wanted.setdefault(degree, []).append(coordinates)
-    entries = _relation_entries(P)
+    entries = _relation_entries(P, shifts)
     for degree, targets in sorted(wanted.items()):
         piece = _trace_piece(entries, shifts, quotient, degree)
         if any(_reduce(piece, target, budget) for target in targets):

@@ -196,20 +196,23 @@ def exterior_power_presentation(P: ModulePresentation, k: int) -> ModulePresenta
     index = {s: t for t, s in enumerate(subsets)}
     zero = Polynomial.zero(algebra.sig)
     new_columns: list[Column] = []
+    # each column beside its negative, made once for all prefixes
+    signed = [(col, tuple(-entry if entry.terms else entry for entry in col))
+              for col in P.columns]
     for prefix in itertools.combinations(range(m), k - 1):
         inside = set(prefix)
-        for col in P.columns:
+        # where e_i lands in e_i ^ e_T', and its sign, for each i outside T'
+        places = [(i, index[tuple(sorted(prefix + (i,)))],
+                   sum(1 for t in prefix if t > i) % 2)
+                  for i in range(m) if i not in inside]
+        for col, negated in signed:
             out = [zero] * len(subsets)
             touched = False
-            for i in range(m):
-                if i in inside:
-                    continue
+            for i, target, odd in places:
                 entry = col[i]
-                if entry.is_zero:
-                    continue
-                odd = sum(1 for t in prefix if t > i) % 2
-                out[index[tuple(sorted(prefix + (i,)))]] = -entry if odd else entry
-                touched = True
+                if entry.terms:
+                    out[target] = negated[i] if odd else entry
+                    touched = True
             if touched:
                 new_columns.append(tuple(out))
     return ModulePresentation(algebra, len(subsets), tuple(new_columns))

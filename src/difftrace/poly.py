@@ -75,7 +75,7 @@ class RingSignature:
             raise KeyError(f"unknown variable {name!r}") from None
 
     def degree_of(self, exps: Exponents) -> int:
-        return sum(w * e for w, e in zip(self.weights, exps))
+        return sum(map(mul, self.weights, exps))
 
     def describe(self) -> str:
         return ", ".join(f"{n}={w}" for n, w in zip(self.names, self.weights))
@@ -147,7 +147,7 @@ class Polynomial:
     def variable(cls, sig: RingSignature, i: int) -> "Polynomial":
         exps = [0] * sig.nvars
         exps[i] = 1
-        return cls(sig, {tuple(exps): Fraction(1)})
+        return cls._of(sig, {tuple(exps): Fraction(1)})
 
     @classmethod
     def monomial(cls, sig: RingSignature, exps: Exponents, coef: Scalar = 1) -> "Polynomial":
@@ -256,7 +256,7 @@ class Polynomial:
             lowered = list(exps)
             lowered[i] = e - 1
             acc[tuple(lowered)] = coef * e
-        return Polynomial(self.sig, acc)
+        return Polynomial._of(self.sig, acc)
 
     def substitute(self, images: Mapping[int, "Polynomial"]) -> "Polynomial":
         """Substitute polynomials (over the same or another signature) for

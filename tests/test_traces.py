@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -450,7 +452,7 @@ def _assert_trace_slices_match_oracle(algebra, k):
     shifts = wedge_shifts(sig, k)
     quotient = QuotientSlices(gens, sig)
     solver = graded._Quotient(algebra, StepBudget())
-    entries = graded._relation_entries(P)
+    entries = graded._relation_entries(P, shifts)
     trace = [(g,) for g in diff_trace(algebra, k).gens]
     for degree in range(TRACE_ORACLE_MAX_DEGREE + 1):
         expected = oracle_trace_dimension(P.columns, shifts, quotient, degree)
@@ -489,3 +491,65 @@ class TestGradedQuotientOracle:
         assert p.terms == terms
         for d in range(degree + 1):
             assert solver.basis(d) == oracle.basis(d), d
+
+
+def _assert_exact(values, where):
+    """Every value is an int or a Fraction: exact, and never a float."""
+    kinds = {type(v) for v in values}
+    assert kinds <= {int, Fraction}, (where, kinds)
+
+
+def _exact_test_ring(name):
+    """umbrella and twisted have fractional coefficients; the pieces of I
+    of lead-two lead with 2 (x^2) and with -1 (x*y), so _insert divides
+    and negates."""
+    if name == "lead-two":
+        return make_ring(["x", "y", "z"], [1, 1, 1], ["2*x^2 - y*z", "-x*y + z^2"])
+    return load_ring(str(next(p for p in ALL_RINGS if p.stem == name))).algebra
+
+
+class TestGradedSolverIsExact:
+    def test_insert_keeps_ints_until_a_division(self):
+        pivots = {}
+        graded._insert(pivots, {3: -1, 1: 2}, StepBudget())
+        assert pivots == {3: {3: 1, 1: -2}}
+        assert all(type(v) is int for v in pivots[3].values())
+        graded._insert(pivots, {5: 2, 0: 1}, StepBudget())
+        assert pivots[5] == {5: 1, 0: Fraction(1, 2)}
+        assert all(type(v) is Fraction for v in pivots[5].values())
+
+    @pytest.mark.parametrize("name", ["umbrella", "twisted", "lead-two"])
+    def test_every_stored_value_is_exact(self, name):
+        """Tails, coordinates, kernels and trace pieces on rings with
+        fractional or non-unit lead coefficients hold only ints and
+        Fractions, and still match the Fraction slices."""
+        algebra = _exact_test_ring(name)
+        sig, gens = algebra.sig, algebra.defining.gens
+        oracle = QuotientSlices(gens, sig)
+        solver = graded._Quotient(algebra, StepBudget())
+        for k in range(1, algebra.dimension + 1):
+            P = exterior_power_presentation(kaehler_presentation(algebra), k)
+            shifts = wedge_shifts(sig, k)
+            entries = graded._relation_entries(P, shifts)
+            for at_t in entries:
+                for _, terms, _ in at_t:
+                    _assert_exact(terms.values(), "relation entry")
+            for degree in range(TRACE_ORACLE_MAX_DEGREE + 1):
+                for shift in set(shifts):
+                    for vector in graded._kernel(entries, shifts, solver, degree - shift):
+                        _assert_exact(vector.values(), ("kernel", k, degree - shift))
+                piece = graded._trace_piece(entries, shifts, solver, degree)
+                assert len(piece) == oracle_trace_dimension(P.columns, shifts, oracle,
+                                                            degree), (k, degree)
+                for row in piece.values():
+                    _assert_exact(row.values(), ("trace piece", k, degree))
+        for degree in range(TRACE_ORACLE_MAX_DEGREE + 2):
+            for tail in solver.tails(degree).values():
+                _assert_exact(tail.values(), ("tails", degree))
+            monomials = graded.monomials_of_weighted_degree(sig, degree)
+            p = Polynomial(sig, {m: Fraction(i + 1, 3) for i, m in enumerate(monomials)})
+            if p.is_zero:
+                continue
+            coordinates = solver.coordinates(graded._exact(p.terms), degree)
+            assert coordinates == oracle.reduce(p), degree
+            _assert_exact(coordinates.values(), ("coordinates", degree))
