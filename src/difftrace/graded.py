@@ -32,7 +32,6 @@ nothing is kept between calls.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
 from typing import Hashable, Sequence
 
 from .groebner import StepBudget, current_budget
@@ -227,7 +226,7 @@ def _kernel(entries: Sequence[list], shifts: Sequence[int], quotient: _Quotient,
             unknowns.append((t, m))
             for index, terms, tails in images:
                 for e, c in terms.items():
-                    e = tuple(map(add, e, m))
+                    e = mono_mul(e, m)
                     tail = tails.get(e)
                     if tail is None:
                         _add(row, (1, index, e), c)

@@ -28,6 +28,7 @@ from difftrace.groebner import (
 )
 from difftrace.poly import Polynomial
 from difftrace.ringfile import load_ring
+from difftrace.simplicial import iso_classes
 
 settings.register_profile(
     "suite",
@@ -43,6 +44,8 @@ RING_FILES = sorted((Path(__file__).resolve().parent.parent / "rings").glob("*.r
 # with the test rings of tests/data/rings/
 ALL_RINGS = RING_FILES + sorted((Path(__file__).resolve().parent / "data" / "rings")
                                 .glob("*.ring"))
+# the census classes on at most 5 vertices whose components are pure
+PURE_CENSUS = [d for d in iso_classes(5) if all(p.is_pure for p in d.components)]
 
 
 def ring_powers():

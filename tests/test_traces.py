@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     ALL_RINGS,
+    PURE_CENSUS,
     RING_FILES,
     build_corpus,
     corpus_powers,
@@ -29,7 +30,7 @@ from difftrace.modsyz import exterior_power_presentation, kernel_columns
 from difftrace.poly import Polynomial, parse_polynomial
 from difftrace.ringfile import load_ring
 from difftrace.rings import AssumptionError, GradedAlgebra
-from difftrace.simplicial import iso_classes, stanley_reisner_algebra
+from difftrace.simplicial import stanley_reisner_algebra
 from difftrace.traces import (
     diff_trace,
     is_nearly_regular,
@@ -51,9 +52,6 @@ from strategies import homogeneous_polynomials, signatures
 
 # the trace oracle compares the trace ideals in degrees up to this
 TRACE_ORACLE_MAX_DEGREE = 3
-
-# the census classes on at most 5 vertices whose components are pure
-PURE_CENSUS = [d for d in iso_classes(5) if all(p.is_pure for p in d.components)]
 
 
 class TestCorpusShape:
