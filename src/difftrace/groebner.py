@@ -28,7 +28,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Mapping, Sequence
@@ -142,7 +142,10 @@ Order = WeightedGrevlex | BlockOrder
 
 
 def default_order(sig: RingSignature) -> WeightedGrevlex:
-    return WeightedGrevlex(sig.weights)
+    return _grevlex(sig.weights)
+
+
+_grevlex = cache(WeightedGrevlex)  # one order, so one packing, per weight tuple
 
 
 def leading_monomial(p: Polynomial, order: Order) -> Exponents:
@@ -480,74 +483,84 @@ def _monic_polynomial(sig: RingSignature, element: _Element, order: Order) -> Po
 class _Engine:
     """One Buchberger run on an ideal that can stop and resume: the basis,
     its reducers (all at position 0), the pairing set (indices of the
-    elements no later lead divides) and the pending pairs {(i, j): lcm},
-    with a heap of the pairs in ascending (lcm, made) order.
+    elements no later lead divides), the deferred elements (reducers not
+    yet paired) and the pending pairs {(i, j): lcm}, with a heap of the
+    pairs in ascending (lcm, made) order.  A seed, already a Groebner basis,
+    joins the pairing set with no pair.
 
     Leads and lcms are packed monomials, so the lcm, each divisibility test
     and the coprime test are a few integer operations, and an lcm past the
-    degree limit raises DegreeLimitError.  Each element is installed by the
+    degree limit raises DegreeLimitError.  Each element is paired by the
     update of Gebauer and Moeller (J. Symbolic Comput. 6, 1988).  B: a
     pending pair is dropped when the new lead divides its lcm and differs
     from both lcms with the new element.  M and F: of the new pairs, one per
     minimal lcm is kept, and then one whose two leads are coprime is
     dropped.  Elements whose lead the new lead divides leave the pairing set
     and stay reducers.  The budget is ticked once per pair taken for
-    reduction and once per reduction step; dropped pairs cost nothing.
+    reduction and once per reduction step; dropped pairs cost nothing.  An
+    abort can leave a popped pair untaken, so no engine is resumed after one.
     """
 
-    __slots__ = ("packing", "budget", "basis", "buckets", "pairing", "pending",
-                 "heap", "counter")
+    __slots__ = ("packing", "budget", "basis", "buckets", "pairing", "deferred",
+                 "pending", "heap", "counter")
 
-    def __init__(self, packing: _Packing, budget: StepBudget):
+    def __init__(self, packing: _Packing, budget: StepBudget, seed: Iterable[_Element] = ()):
         self.packing = packing
         self.budget = budget
-        self.basis: list[_Element] = []
-        self.buckets: dict[int, list[_Reducer]] = {0: []}
-        self.pairing: list[int] = []
+        self.basis: list[_Element] = list(seed)
+        self.buckets: dict[int, list[_Reducer]] = {
+            0: [(e[1] | packing.guards, *e[1:]) for e in self.basis]}
+        self.pairing: list[int] = list(range(len(self.basis)))
+        self.deferred: list[int] = []
         self.pending: dict[tuple[int, int], int] = {}
         self.heap: list = []
         self.counter = itertools.count()
 
     def install(self, element: _Element, pairs: bool = True):
-        """Add the element as a reducer and to the pairing set.  Without
-        pairs it is paired with nothing yet, only with later elements: the
-        caller vouches that no pair of it is needed, as for a Groebner basis
-        installed first."""
+        """Add the element as a reducer and pair it, or else defer it: no
+        pair and no place in the pairing set until a full run."""
+        new = len(self.basis)
+        self.basis.append(element)
+        self.buckets[0].append((element[1] | self.packing.guards, *element[1:]))
+        if pairs:
+            self._pair(new)
+        else:
+            self.deferred.append(new)
+
+    def _pair(self, new: int):
+        """Pair the element at index `new`; it joins the pairing set."""
         packing = self.packing
         guards, dividing, lcm_of = packing.guards, packing.dividing, packing.lcm
         basis, pairing, pending = self.basis, self.pairing, self.pending
-        lead = element[1]
+        lead = basis[new][1]
         guarded = lead | guards
-        new = len(basis)
-        basis.append(element)
-        self.buckets[0].append((guarded, *element[1:]))
-        if pairs:
-            # B on the pending pairs
-            for pair in [pair for pair, lcm in pending.items()
-                         if (guarded - lcm) & dividing == dividing
-                         and lcm != lcm_of(basis[pair[0]][1], lead)
-                         and lcm != lcm_of(basis[pair[1]][1], lead)]:
-                del pending[pair]
-            # M and F on the new pairs, then the coprime-lead criterion
-            kept: list[tuple[int, int]] = []
-            minimal: list[int] = []  # the kept lcms, guarded
-            for lcm, i in sorted((lcm_of(basis[i][1], lead), i) for i in pairing):
-                if not any((other - lcm) & dividing == dividing for other in minimal):
-                    kept.append((i, lcm))
-                    minimal.append(lcm | guards)
-            for i, lcm in kept:
-                if lcm != basis[i][1] + lead - packing.base:
-                    pending[i, new] = lcm
-                    heapq.heappush(self.heap, (lcm, next(self.counter), i, new))
-            pairing[:] = [i for i in pairing
-                          if (guarded - basis[i][1]) & dividing != dividing]
+        # B on the pending pairs
+        for pair in [pair for pair, lcm in pending.items()
+                     if (guarded - lcm) & dividing == dividing
+                     and lcm != lcm_of(basis[pair[0]][1], lead)
+                     and lcm != lcm_of(basis[pair[1]][1], lead)]:
+            del pending[pair]
+        # M and F on the new pairs, then the coprime-lead criterion
+        kept: list[tuple[int, int]] = []
+        minimal: list[int] = []  # the kept lcms, guarded
+        for lcm, i in sorted((lcm_of(basis[i][1], lead), i) for i in pairing):
+            if not any((other - lcm) & dividing == dividing for other in minimal):
+                kept.append((i, lcm))
+                minimal.append(lcm | guards)
+        for i, lcm in kept:
+            if lcm != basis[i][1] + lead - packing.base:
+                pending[i, new] = lcm
+                heapq.heappush(self.heap, (lcm, next(self.counter), i, new))
+        pairing[:] = [i for i in pairing
+                      if (guarded - basis[i][1]) & dividing != dividing]
         pairing.append(new)
 
     def run(self, cap: int | None = None):
         """Take pairs, installing each nonzero remainder of an S-polynomial,
         until no pair is pending or the smallest lcm reaches `cap`.  The heap
         is read before a pair is taken, so a pair at or above the cap stays
-        pending for a later run.
+        pending for a later run.  A full run (no cap) first pairs the
+        deferred elements in install order.
 
         Homogeneous elements under WeightedGrevlex compare by weighted degree
         first, so a cap of (d + 1) << packing.top takes every pair of lcm
@@ -556,6 +569,8 @@ class _Engine:
         interreduced or not (Gebauer and Moeller's degree-by-degree
         argument).
         """
+        while cap is None and self.deferred:
+            self._pair(self.deferred.pop(0))
         heap, pending, basis, buckets = self.heap, self.pending, self.basis, self.buckets
         packing, budget = self.packing, self.budget
         while heap and (cap is None or heap[0][0] < cap):
@@ -567,6 +582,15 @@ class _Engine:
                                    packing, budget)
             if remainder:
                 self.install(_element(_primitive(remainder)))
+
+    def reduced_basis(self, sig: RingSignature, order: Order) -> tuple[Polynomial, ...]:
+        """The reduced Groebner basis of the elements' ideal, monic in
+        increasing lead order: a full run, then one sweep (`_interreduce`)
+        over the pairing set."""
+        self.run()
+        return tuple(_monic_polynomial(sig, e, order)
+                     for e in _interreduce([self.basis[i] for i in self.pairing],
+                                           self.packing, self.budget))
 
 
 def _interreduce(elements: list[_Element], packing: _Packing,
@@ -751,22 +775,16 @@ def _buchberger(basis: list[Polynomial], first_new: int,
                 order: Order) -> tuple[Polynomial, ...]:
     """The reduced Groebner basis of the ideal the nonzero basis generates,
     monic in increasing lead order.  The first `first_new` elements must
-    already form a Groebner basis: they are installed with no pairs, so only
-    pairs with a later element are made.  One `_Engine` takes every pair,
-    and one sweep (`_interreduce`) makes the result reduced.
+    already form a Groebner basis: they seed one `_Engine`, which takes
+    every pair.
     """
     if not basis:
         return ()
-    packing, budget = order._packing, current_budget()
-    engine = _Engine(packing, budget)
-    for k, g in enumerate(basis):
-        engine.install(_poly_element(g, order), k >= first_new)
-    engine.run()
-    # the pairing set holds a Groebner basis; only an input can have a lead
-    # that another lead of the pairing set divides
-    return tuple(_monic_polynomial(basis[0].sig, e, order)
-                 for e in _interreduce([engine.basis[i] for i in engine.pairing],
-                                       packing, budget))
+    engine = _Engine(order._packing, current_budget(),
+                     [_poly_element(g, order) for g in basis[:first_new]])
+    for g in basis[first_new:]:
+        engine.install(_poly_element(g, order))
+    return engine.reduced_basis(basis[0].sig, order)
 
 
 # -- ideal handles and operations ---------------------------------------------
@@ -776,10 +794,13 @@ class IdealHandle:
 
     The basis is computed on first use, from the generators alone unless
     the handle was made with a private `_base`: a handle whose generators
-    end this handle's.  Then the computation starts from the base's cached
-    reduced basis and makes no pair inside it.  A function that already
-    holds the reduced basis (`eliminate`, `ideal_intersection`) stores it on
-    the handle it returns.  Every handle lives in the default order of its
+    end this handle's, which makes it an ideal of the quotient by the base.
+    Then the computation starts from the base's cached reduced basis and
+    makes no pair inside it.  If every generator is homogeneous, the basis
+    resumes the engine of the scan that finds the presented generators
+    (`_scan`), and then drops it.  A function that already holds the
+    reduced basis (`eliminate`, `ideal_intersection`) stores it on the
+    handle it returns.  Every handle lives in the default order of its
     signature.
     """
 
@@ -802,11 +823,36 @@ class IdealHandle:
 
     @cached_property
     def groebner_basis(self) -> tuple[Polynomial, ...]:
-        if self._base is None:
+        base = self._base
+        if base is None:
             return buchberger(self.gens, self.order)
-        seed = self._base.groebner_basis
-        own = self.gens[:len(self.gens) - len(self._base.gens)]
-        return _buchberger(list(seed) + list(own), len(seed), self.order)
+        if not all(g.is_homogeneous() for g in self.gens):
+            seed = base.groebner_basis
+            own = self.gens[:len(self.gens) - len(base.gens)]
+            return _buchberger(list(seed) + list(own), len(seed), self.order)
+        self._presented  # runs the scan unless it has run
+        engine = self._scan[1]
+        del self._scan  # an abort in the resume leaves no engine behind
+        engine.budget = current_budget()
+        return engine.reduced_basis(self.sig, self.order)
+
+    @cached_property
+    def _presented(self) -> tuple[Polynomial, ...]:
+        """See GradedAlgebra.presented_generators."""
+        return self._scan[0]
+
+    @cached_property
+    def _scan(self) -> tuple[tuple[Polynomial, ...], _Engine]:
+        """The scan of the own generators' monic residues modulo the base,
+        without duplicates, sorted by degree, then leading monomial
+        descending under grevlex, then string."""
+        base, order = self._base, self.order
+        residues = (normal_form(g, base) for g in self.gens[:len(self.gens) - len(base.gens)])
+        candidates = list(dict.fromkeys(monic(r, order) for r in residues if not r.is_zero))
+        candidates.sort(key=lambda g: (g.homogeneous_degree() or 0,
+                                       tuple(reversed(leading_monomial(g, order))),
+                                       str(g)))
+        return _scan(candidates, base, order)
 
     @property
     def is_trivial(self) -> bool:
@@ -963,37 +1009,36 @@ def minimalize_homogeneous(gens: Sequence[Polynomial], sig: RingSignature,
     Scans by ascending weighted degree (ties keep input order) and keeps an
     element only if it is not in the ideal spanned by the kept ones together
     with `modulo`, a homogeneous ideal.  The returned tuple holds the kept
-    elements themselves.
-
-    The whole scan runs on one `_Engine`, started from the cached reduced
-    basis of `modulo` with no pairs.  Each candidate is packed once and
-    reduced against the live basis; an empty remainder makes it a member.
-    A kept candidate's primitive remainder generates the same ideal with the
-    basis, and is installed with its pairs.  Before a candidate of degree d
-    is reduced, the engine takes the pending pairs of lcm degree up to d
-    and leaves the others pending, so the basis is truncated at d and
-    decides membership there.  A pair above the largest candidate degree is
-    never taken, and a remainder at that degree is installed with no pairs.
+    elements themselves (see `_scan`).
     """
-    order = default_order(sig)
-    packing = order._packing
     if modulo is None:
         modulo = IdealHandle(sig, ())
-    ranked: list[tuple[int, Polynomial]] = []
-    for g in gens:
-        if not g.is_zero:
-            degree = g.homogeneous_degree()
-            if degree is None:
-                raise ValueError(f"minimalize_homogeneous needs homogeneous input, got {g}")
-            ranked.append((degree, g))
-    for g in modulo.gens:
-        if not g.is_homogeneous():
+    return _scan(gens, modulo, default_order(sig))[0]
+
+
+def _scan(gens: Sequence[Polynomial], modulo: IdealHandle,
+          order: WeightedGrevlex) -> tuple[tuple[Polynomial, ...], _Engine]:
+    """The kept elements of minimalize_homogeneous, and the `_Engine` the
+    scan ran on, seeded with the cached reduced basis of `modulo`.
+
+    Each candidate is packed once and reduced against the live basis; an
+    empty remainder makes it a member.  A kept candidate's primitive
+    remainder generates the same ideal with the basis, and is installed
+    with its pairs.  Before a candidate of degree d is reduced, the engine
+    takes the pending pairs of lcm degree up to d and leaves the others
+    pending, so the basis is truncated at d and decides membership there.
+    A pair above the largest candidate degree is never taken, and a
+    remainder at that degree is deferred until a full run.
+    """
+    packing = order._packing
+    ranked = [(g.homogeneous_degree(), g) for g in gens if not g.is_zero]
+    for degree, g in ranked + [(g.homogeneous_degree(), g) for g in modulo.gens]:
+        if degree is None:
             raise ValueError(f"minimalize_homogeneous needs homogeneous input, got {g}")
     ranked.sort(key=lambda candidate: candidate[0])
     top = ranked[-1][0] if ranked else 0
-    engine = _Engine(packing, current_budget())
-    for f in modulo.groebner_basis:
-        engine.install(_poly_element(f, order), pairs=False)
+    engine = _Engine(packing, current_budget(),
+                     [_poly_element(f, order) for f in modulo.groebner_basis])
     kept: list[Polynomial] = []
     for degree, g in ranked:
         engine.run((degree + 1) << packing.top)
@@ -1004,4 +1049,4 @@ def minimalize_homogeneous(gens: Sequence[Polynomial], sig: RingSignature,
             # no lead installed divides the remainder's, so its pairs have
             # lcms above its degree: at the top degree none would be taken
             engine.install(_element(_primitive(remainder)), pairs=degree < top)
-    return tuple(kept)
+    return tuple(kept), engine

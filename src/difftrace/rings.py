@@ -13,12 +13,8 @@ from typing import Iterable, Sequence
 
 from .groebner import (
     IdealHandle,
-    default_order,
     ideal_membership,
     krull_dimension,
-    leading_monomial,
-    minimalize_homogeneous,
-    monic,
     normal_form,
 )
 from .poly import Polynomial, RingSignature
@@ -112,18 +108,17 @@ class GradedAlgebra:
     def presented_generators(self, handle: IdealHandle) -> tuple[Polynomial, ...]:
         """A minimal homogeneous generating list of an ideal of the quotient.
 
-        Multiples of the defining ideal are pruned, duplicates collapse, and
-        the survivors are scanned by ascending degree with larger leading
-        monomials first inside each degree.
+        The candidates are the residues of the ideal's generators modulo
+        the defining ideal, made monic, without duplicates, scanned by
+        ascending degree with larger leading monomials first inside each
+        degree (see `groebner.minimalize_homogeneous`).  The list is cached
+        on a handle of this algebra (`s_ideal`), whose basis resumes the
+        same scan; any other handle is read as the ideal its generators
+        span in the quotient.
         """
-        order = default_order(self.sig)
-        residues = (self.reduce(g) for g in handle.gens)
-        reduced = list(dict.fromkeys(monic(r, order) for r in residues if not r.is_zero))
-        # degree ascending, then leading monomial descending under grevlex
-        reduced.sort(key=lambda g: (g.homogeneous_degree() or 0,
-                                    tuple(reversed(leading_monomial(g, order))),
-                                    str(g)))
-        return minimalize_homogeneous(reduced, self.sig, modulo=self.defining)
+        if handle._base is not self.defining:
+            handle = self.s_ideal(handle.gens)
+        return handle._presented
 
     def contains_maximal_ideal(self, handle: IdealHandle) -> bool:
         """Whether every variable lies in the ideal (so it contains m)."""

@@ -7,7 +7,10 @@ The rings are the node, the conic and the cusp, plus one whose listed
 generators are neither monic nor a Groebner basis, so that seeding from
 the generators instead of their basis shows.  The minimal-generator scan
 runs on one live engine state; its tests also check that a budget abort
-inside it leaves the cached bases as they were.
+inside it leaves the cached bases as they were.  An ideal of a quotient
+gets its presented generators and its basis from one scan, whichever is
+asked first; both must agree with the separate computations, and an abort
+in the scan or in the resumed basis must leave the handle as if unasked.
 """
 
 from __future__ import annotations
@@ -30,7 +33,9 @@ from difftrace.groebner import (
     default_order,
     eliminate,
     ideal_intersection,
+    leading_monomial,
     minimalize_homogeneous,
+    monic,
     normal_form_raw,
     step_budget,
 )
@@ -69,6 +74,26 @@ def untruncated_minimalize(gens, sig, modulo_gens):
         kept.append(g)
         basis = _buchberger(list(basis) + [g], len(basis), order)
     return tuple(kept)
+
+
+def scan_candidates(ring, gens):
+    """The candidates of a quotient ideal's scan, as presented_generators
+    documents them: monic residues, without duplicates, by degree, then
+    leading monomial descending, then string."""
+    order = default_order(ring.sig)
+    residues = (ring.reduce(g) for g in gens)
+    out = list(dict.fromkeys(monic(r, order) for r in residues if not r.is_zero))
+    out.sort(key=lambda g: (g.homogeneous_degree(),
+                            tuple(reversed(leading_monomial(g, order))), str(g)))
+    return out
+
+
+def both_answers(ring, handle, presented_first):
+    if presented_first:
+        presented = ring.presented_generators(handle)
+        return presented, handle.groebner_basis
+    basis = handle.groebner_basis
+    return ring.presented_generators(handle), basis
 
 
 class TestSeededQuotientIdeal:
@@ -149,6 +174,45 @@ class TestTruncatedMinimalize:
             again = minimalize_homogeneous(gens, TWISTED.sig, modulo=modulo)
         assert again == expected
         assert all(a is b for a, b in zip(again, expected))
+
+
+class TestSharedScan:
+    @given(ring_and_polys(homogeneous=True), st.booleans())
+    @example((NODE, parse_many(["x^2 + y^2", "y^3"], NODE.sig)), False)
+    @example((UNREDUCED, parse_many(["y^3", "x^2 + x*y"], UNREDUCED.sig)), True)
+    def test_equals_separate_computations(self, case, presented_first):
+        ring, gens = case
+        handle = ring.s_ideal(gens)
+        presented, basis = both_answers(ring, handle, presented_first)
+        assert basis == buchberger(handle.gens, handle.order)
+        candidates = scan_candidates(ring, gens)
+        assert presented == untruncated_minimalize(candidates, ring.sig,
+                                                   list(ring.defining.gens))
+        kept = minimalize_homogeneous(candidates, ring.sig, modulo=ring.defining)
+        assert kept == presented
+        assert all(any(k is c for c in candidates) for k in kept)
+        assert ring.presented_generators(handle) is presented
+
+    @pytest.mark.parametrize("presented_first", [True, False])
+    @pytest.mark.parametrize("ring,gens", [
+        # the scan takes 27 steps, and the resumed basis 23 more
+        (TWISTED, ["x^2 + y*z", "y^2 + x*w", "z^2 + x*y", "x^3", "w^3", "x*y*z"]),
+        # the resumed basis takes pairs that reduce to new elements, so a
+        # resume after an abort that lost one would miss them
+        (CONIC, ["a*b + c^2", "b^2 + a*c + c^2"]),
+    ], ids=["twisted", "conic"])
+    def test_budget_abort_leaves_no_poisoned_cache(self, ring, gens, presented_first):
+        gens = parse_many(gens, ring.sig)
+        with step_budget(10 ** 6) as budget:
+            expected = both_answers(ring, ring.s_ideal(gens), presented_first)
+        # every smaller budget aborts in the scan or in the resume
+        for limit in range(1, budget.used):
+            handle = ring.s_ideal(gens)
+            with step_budget(limit):
+                with pytest.raises(BudgetExceededError):
+                    both_answers(ring, handle, presented_first)
+            with step_budget(10 ** 6):
+                assert both_answers(ring, handle, presented_first) == expected
 
 
 class TestTensorPrediction:
