@@ -852,7 +852,7 @@ class IdealHandle:
         candidates.sort(key=lambda g: (g.homogeneous_degree() or 0,
                                        tuple(reversed(leading_monomial(g, order))),
                                        str(g)))
-        return _scan(candidates, base, order)
+        return _minimal_scan(candidates, base, order)
 
     @property
     def is_trivial(self) -> bool:
@@ -1009,15 +1009,15 @@ def minimalize_homogeneous(gens: Sequence[Polynomial], sig: RingSignature,
     Scans by ascending weighted degree (ties keep input order) and keeps an
     element only if it is not in the ideal spanned by the kept ones together
     with `modulo`, a homogeneous ideal.  The returned tuple holds the kept
-    elements themselves (see `_scan`).
+    elements themselves (see `_minimal_scan`).
     """
     if modulo is None:
         modulo = IdealHandle(sig, ())
-    return _scan(gens, modulo, default_order(sig))[0]
+    return _minimal_scan(gens, modulo, default_order(sig))[0]
 
 
-def _scan(gens: Sequence[Polynomial], modulo: IdealHandle,
-          order: WeightedGrevlex) -> tuple[tuple[Polynomial, ...], _Engine]:
+def _minimal_scan(gens: Sequence[Polynomial], modulo: IdealHandle,
+                  order: WeightedGrevlex) -> tuple[tuple[Polynomial, ...], _Engine]:
     """The kept elements of minimalize_homogeneous, and the `_Engine` the
     scan ran on, seeded with the cached reduced basis of `modulo`.
 
