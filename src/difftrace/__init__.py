@@ -29,7 +29,6 @@ from .groebner import (
     ideal_intersection,
     ideal_membership,
     krull_dimension,
-    minimalize_homogeneous,
     normal_form,
     radical_membership,
     step_budget,

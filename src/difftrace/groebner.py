@@ -1,10 +1,10 @@
 """Buchberger's algorithm and ideal arithmetic over Q.
 
 All computations are exact.  Polynomials in and out carry Fraction
-coefficients.  One Buchberger engine (`_Engine`, run to the end by
-`_buchberger`) computes the Groebner bases of ideals.  Kernels of module
-maps (modsyz.syzygies) run a signature-based loop (`_syzygy_basis`) on
-vectors of the same integer elements, with the same final sweep.  Division
+coefficients.  One Buchberger engine (`_Engine`, built by `_seeded_engine`)
+computes the Groebner bases of ideals.  Kernels of module maps
+(modsyz.syzygies) run a signature-based loop (`_syzygy_basis`) on vectors
+of the same integer elements, with the same final sweep.  Division
 with remainder of polynomials and vectors runs in one kernel (`_reduce`) on
 integer coefficients over one common denominator, and forms Fractions only
 for the remainder or basis it returns.  Inside the engine each monomial is
@@ -59,9 +59,9 @@ class StepBudget:
     A step is one S-pair or J-pair taken for reduction, one reduction step,
     or one row subtraction of the graded solver (graded.py).  A pair that a
     criterion drops costs nothing, the signature criteria of a kernel
-    (`_syzygy_basis`) included, and so does a pair that a minimalization
-    (minimalize_homogeneous) leaves pending above its largest candidate
-    degree: it is never taken.
+    (`_syzygy_basis`) included, and so does a pair that the scan for the
+    presented generators of a quotient ideal (`_minimal_scan`) leaves
+    pending above its largest candidate degree: it is never taken.
     """
 
     __slots__ = ("limit", "used")
@@ -96,7 +96,7 @@ def current_budget() -> StepBudget:
     """The ambient budget, or a fresh default-sized one.
 
     Outside `step_budget`, each engine entry (each `buchberger`,
-    `normal_form_raw`, `groebner_basis`, `minimalize_homogeneous`,
+    `normal_form_raw`, `groebner_basis`, `presented_generators`,
     `syzygies` or `trace_contains`) gets its own budget.
     `step_budget` is the only way to bound or count a library computation
     as a whole.
@@ -149,21 +149,13 @@ _grevlex = cache(WeightedGrevlex)  # one order, so one packing, per weight tuple
 
 
 def leading_monomial(p: Polynomial, order: Order) -> Exponents:
-    cached = p._lead_cache.get(order)
-    if cached is None:
-        if p.is_zero:
-            raise ValueError("the zero polynomial has no leading monomial")
-        cached = max(p.terms, key=order.key)
-        p._lead_cache[order] = cached
-    return cached
-
-
-def leading_coefficient(p: Polynomial, order: Order) -> Fraction:
-    return p.terms[leading_monomial(p, order)]
+    if p.is_zero:
+        raise ValueError("the zero polynomial has no leading monomial")
+    return max(p.terms, key=order.key)
 
 
 def monic(p: Polynomial, order: Order) -> Polynomial:
-    lc = leading_coefficient(p, order)
+    lc = p.terms[leading_monomial(p, order)]
     return p if lc == 1 else p.scale(1 / lc)
 
 
@@ -329,11 +321,17 @@ def _fractions(comp: dict[int, int], den: int,
     return {unpack(e): Fraction(c, den) for e, c in comp.items()}
 
 
+def _reducer(element: _Element, packing: _Packing) -> _Reducer:
+    """The reducer of an element: its lead guarded for the divisibility test."""
+    _, lead, ints, coef = element
+    return lead | packing.guards, lead, ints, coef
+
+
 def _buckets(elements: Iterable[_Element], packing: _Packing) -> dict[int, list[_Reducer]]:
     """Reducers by lead position, in list order."""
     out: dict[int, list[_Reducer]] = {}
-    for pos, lead, ints, coef in elements:
-        out.setdefault(pos, []).append((lead | packing.guards, lead, ints, coef))
+    for element in elements:
+        out.setdefault(element[0], []).append(_reducer(element, packing))
     return out
 
 
@@ -476,7 +474,6 @@ def _monic_polynomial(sig: RingSignature, element: _Element, order: Order) -> Po
     packing = order._packing
     g = Polynomial._of(sig, _fractions(element[2][0], element[3], packing))
     g._ints = (packing, element[1], element[2][0])
-    g._lead_cache[order] = packing.unpack(element[1])
     return g
 
 
@@ -509,7 +506,7 @@ class _Engine:
         self.budget = budget
         self.basis: list[_Element] = list(seed)
         self.buckets: dict[int, list[_Reducer]] = {
-            0: [(e[1] | packing.guards, *e[1:]) for e in self.basis]}
+            0: [_reducer(e, packing) for e in self.basis]}
         self.pairing: list[int] = list(range(len(self.basis)))
         self.deferred: list[int] = []
         self.pending: dict[tuple[int, int], int] = {}
@@ -521,7 +518,7 @@ class _Engine:
         pair and no place in the pairing set until a full run."""
         new = len(self.basis)
         self.basis.append(element)
-        self.buckets[0].append((element[1] | self.packing.guards, *element[1:]))
+        self.buckets[0].append(_reducer(element, self.packing))
         if pairs:
             self._pair(new)
         else:
@@ -600,7 +597,7 @@ def _interreduce(elements: list[_Element], packing: _Packing,
     order drops each element whose lead a kept lead divides (the later of
     two equal leads) and reduces the tails of the others: every reducer a
     tail can see is final, so the sweep reaches the reduced basis."""
-    guards, dividing = packing.guards, packing.dividing
+    dividing = packing.dividing
     kept: list[_Element] = []
     reducers: dict[int, list[_Reducer]] = {}
     for pos, lead, ints, _ in sorted(elements, key=lambda e: (-e[0], e[1])):
@@ -610,7 +607,7 @@ def _interreduce(elements: list[_Element], packing: _Packing,
         remainder, _ = _reduce({p: dict(comp) for p, comp in ints.items()}, 1,
                                reducers, packing, budget)
         kept.append(_element(_primitive(remainder)))
-        bucket.append((lead | guards, *kept[-1][1:]))
+        bucket.append(_reducer(kept[-1], packing))
     kept.sort(key=lambda e: (e[0], e[1]))
     return kept
 
@@ -676,8 +673,8 @@ def _syzygy_basis(base: list[_Element], inputs: list[_IntVector], known: list[_E
 
     below = -1 << (width + 1)  # the base's signature, under every tag
     buckets: dict[int, list[_SignedReducer]] = {}
-    for pos, lead, ints, coef in base:
-        buckets.setdefault(pos, []).append((lead | guards, lead, ints, coef, below))
+    for element in base:
+        buckets.setdefault(element[0], []).append((*_reducer(element, packing), below))
     # by signature position: H as guarded leads, and the elements as
     # (guarded signature, signature, value lead key)
     syzygies: dict[int, list[int]] = {}
@@ -717,7 +714,7 @@ def _syzygy_basis(base: list[_Element], inputs: list[_IntVector], known: list[_E
             continue
         # a new reducer: its J-pairs with the reducers at its lead position
         at, lead = element[0], element[1]
-        new = (lead | guards, lead, element[2], element[3], sig)
+        new = (*_reducer(element, packing), sig)
         bucket = buckets.setdefault(at, [])
         for r in bucket:
             lcm = lcm_of(lead, r[1])
@@ -768,23 +765,22 @@ def buchberger(gens: Iterable[Polynomial], order: Order) -> tuple[Polynomial, ..
     and Moeller and the coprime-lead criterion drop useless pairs before
     any reduction work happens (see _Engine).
     """
-    return _buchberger([g for g in gens if not g.is_zero], 0, order)
-
-
-def _buchberger(basis: list[Polynomial], first_new: int,
-                order: Order) -> tuple[Polynomial, ...]:
-    """The reduced Groebner basis of the ideal the nonzero basis generates,
-    monic in increasing lead order.  The first `first_new` elements must
-    already form a Groebner basis: they seed one `_Engine`, which takes
-    every pair.
-    """
-    if not basis:
+    gens = [g for g in gens if not g.is_zero]
+    if not gens:
         return ()
+    return _seeded_engine((), gens, order).reduced_basis(gens[0].sig, order)
+
+
+def _seeded_engine(seed: Iterable[Polynomial], gens: Iterable[Polynomial],
+                   order: Order) -> _Engine:
+    """An `_Engine` under the ambient budget, seeded with `seed`, which must
+    already be a Groebner basis, with each generator (nonzero) installed and
+    paired."""
     engine = _Engine(order._packing, current_budget(),
-                     [_poly_element(g, order) for g in basis[:first_new]])
-    for g in basis[first_new:]:
+                     [_poly_element(f, order) for f in seed])
+    for g in gens:
         engine.install(_poly_element(g, order))
-    return engine.reduced_basis(basis[0].sig, order)
+    return engine
 
 
 # -- ideal handles and operations ---------------------------------------------
@@ -826,14 +822,14 @@ class IdealHandle:
         base = self._base
         if base is None:
             return buchberger(self.gens, self.order)
-        if not all(g.is_homogeneous() for g in self.gens):
-            seed = base.groebner_basis
-            own = self.gens[:len(self.gens) - len(base.gens)]
-            return _buchberger(list(seed) + list(own), len(seed), self.order)
-        self._presented  # runs the scan unless it has run
-        engine = self._scan[1]
-        del self._scan  # an abort in the resume leaves no engine behind
-        engine.budget = current_budget()
+        if all(g.is_homogeneous() for g in self.gens):
+            self._presented  # runs the scan unless it has run
+            engine = self._scan[1]
+            del self._scan  # an abort in the resume leaves no engine behind
+            engine.budget = current_budget()
+        else:
+            engine = _seeded_engine(base.groebner_basis,
+                                    self.gens[:len(self.gens) - len(base.gens)], self.order)
         return engine.reduced_basis(self.sig, self.order)
 
     @cached_property
@@ -1002,24 +998,16 @@ def krull_dimension(I: IdealHandle) -> int:
     raise AssertionError("unreachable: the empty set is always independent")
 
 
-def minimalize_homogeneous(gens: Sequence[Polynomial], sig: RingSignature,
-                           modulo: IdealHandle | None = None) -> tuple[Polynomial, ...]:
-    """Greedy minimal generating subset of a homogeneous generator list.
-
-    Scans by ascending weighted degree (ties keep input order) and keeps an
-    element only if it is not in the ideal spanned by the kept ones together
-    with `modulo`, a homogeneous ideal.  The returned tuple holds the kept
-    elements themselves (see `_minimal_scan`).
-    """
-    if modulo is None:
-        modulo = IdealHandle(sig, ())
-    return _minimal_scan(gens, modulo, default_order(sig))[0]
-
-
 def _minimal_scan(gens: Sequence[Polynomial], modulo: IdealHandle,
                   order: WeightedGrevlex) -> tuple[tuple[Polynomial, ...], _Engine]:
-    """The kept elements of minimalize_homogeneous, and the `_Engine` the
-    scan ran on, seeded with the cached reduced basis of `modulo`.
+    """A greedy minimal generating subset of a homogeneous generator list
+    modulo `modulo`, a homogeneous ideal, and the `_Engine` the scan ran on,
+    seeded with the cached reduced basis of `modulo`.
+
+    The scan goes by ascending weighted degree (ties keep input order) and
+    keeps an element only if it is not in the ideal spanned by the kept ones
+    together with `modulo`.  The returned tuple holds the kept elements
+    themselves.
 
     Each candidate is packed once and reduced against the live basis; an
     empty remainder makes it a member.  A kept candidate's primitive
@@ -1034,11 +1022,10 @@ def _minimal_scan(gens: Sequence[Polynomial], modulo: IdealHandle,
     ranked = [(g.homogeneous_degree(), g) for g in gens if not g.is_zero]
     for degree, g in ranked + [(g.homogeneous_degree(), g) for g in modulo.gens]:
         if degree is None:
-            raise ValueError(f"minimalize_homogeneous needs homogeneous input, got {g}")
+            raise ValueError(f"presented_generators needs homogeneous input, got {g}")
     ranked.sort(key=lambda candidate: candidate[0])
     top = ranked[-1][0] if ranked else 0
-    engine = _Engine(packing, current_budget(),
-                     [_poly_element(f, order) for f in modulo.groebner_basis])
+    engine = _seeded_engine(modulo.groebner_basis, (), order)
     kept: list[Polynomial] = []
     for degree, g in ranked:
         engine.run((degree + 1) << packing.top)

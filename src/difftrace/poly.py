@@ -98,7 +98,7 @@ class Polynomial:
 
     # _ints: (packed encoding, lead, primitive integer terms), made on first
     # use as a reducer and again under another encoding (groebner._poly_element)
-    __slots__ = ("sig", "terms", "_lead_cache", "_ints")
+    __slots__ = ("sig", "terms", "_ints")
 
     def __init__(self, sig: RingSignature,
                  terms: Mapping[Exponents, Scalar] | Iterable[tuple[Exponents, Scalar]] = ()):
@@ -118,7 +118,6 @@ class Polynomial:
                 cleaned[exps] = acc
         self.sig = sig
         self.terms = cleaned
-        self._lead_cache: dict = {}
         self._ints = None
 
     @classmethod
@@ -126,7 +125,7 @@ class Polynomial:
         """Wrap terms that are already clean: no zero coefficient, every
         exponent tuple of the signature's length."""
         out = cls.__new__(cls)
-        out.sig, out.terms, out._lead_cache, out._ints = sig, terms, {}, None
+        out.sig, out.terms, out._ints = sig, terms, None
         return out
 
     # -- constructors ---------------------------------------------------

@@ -111,10 +111,10 @@ class GradedAlgebra:
         The candidates are the residues of the ideal's generators modulo
         the defining ideal, made monic, without duplicates, scanned by
         ascending degree with larger leading monomials first inside each
-        degree (see `groebner.minimalize_homogeneous`).  The list is cached
-        on a handle of this algebra (`s_ideal`), whose basis resumes the
-        same scan; any other handle is read as the ideal its generators
-        span in the quotient.
+        degree (see `groebner._minimal_scan`).  The list is cached on a
+        handle of this algebra (`s_ideal`), whose basis resumes the same
+        scan; any other handle is read as the ideal its generators span in
+        the quotient.
         """
         if handle._base is not self.defining:
             handle = self.s_ideal(handle.gens)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
@@ -198,7 +199,7 @@ def stanley_reisner_algebra(delta: SimplicialComplex) -> GradedAlgebra:
         exps = [0] * len(names)
         for v in nonface:
             exps[position[v]] = 1
-        gens.append(Polynomial.monomial(sig, tuple(exps)))
+        gens.append(Polynomial._of(sig, {tuple(exps): Fraction(1)}))
     return GradedAlgebra(sig, gens, asserted_reduced=True,
                          asserted_equidimensional=delta.is_pure)
 

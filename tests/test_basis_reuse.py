@@ -28,13 +28,12 @@ from difftrace.constructions import (
 )
 from difftrace.groebner import (
     BudgetExceededError,
-    _buchberger,
+    _minimal_scan,
     buchberger,
     default_order,
     eliminate,
     ideal_intersection,
     leading_monomial,
-    minimalize_homogeneous,
     monic,
     normal_form_raw,
     step_budget,
@@ -60,9 +59,14 @@ def ring_and_polys(draw, homogeneous: bool):
     return ring, draw(st.lists(element, min_size=1, max_size=4))
 
 
+def minimal_scan(gens, modulo):
+    """The kept elements of the minimal-generator scan modulo an ideal."""
+    return _minimal_scan(gens, modulo, modulo.order)[0]
+
+
 def untruncated_minimalize(gens, sig, modulo_gens):
-    """The scan of minimalize_homogeneous with every pair taken, from the
-    basis of the listed modulo generators."""
+    """The minimal-generator scan with every pair taken, from the basis of
+    the listed modulo generators."""
     order = default_order(sig)
     ranked = sorted((g for g in gens if not g.is_zero),
                     key=lambda g: g.homogeneous_degree())
@@ -72,7 +76,7 @@ def untruncated_minimalize(gens, sig, modulo_gens):
         if normal_form_raw(g, basis, order).is_zero:
             continue
         kept.append(g)
-        basis = _buchberger(list(basis) + [g], len(basis), order)
+        basis = buchberger(list(basis) + [g], order)
     return tuple(kept)
 
 
@@ -109,6 +113,30 @@ class TestSeededQuotientIdeal:
         basis = UNREDUCED.zero_ideal().groebner_basis
         assert [str(g) for g in basis] == ["x*y", "x^2 - y^2", "y^3"]
 
+    @pytest.mark.parametrize("ring,gens", [
+        # an inhomogeneous generator: the basis runs an engine seeded with
+        # the base's basis instead of resuming a scan (2 and 38 steps)
+        (NODE, ["x^2 + y"]),
+        (TWISTED, ["x^2 + y", "z^2 - w"]),
+    ], ids=["node", "twisted"])
+    def test_budget_abort_leaves_no_poisoned_cache(self, ring, gens):
+        gens = parse_many(gens, ring.sig)
+        base = ring.defining
+        basis = base.groebner_basis
+        cached = [(g._ints[0], g._ints[1], dict(g._ints[2])) for g in basis]
+        with step_budget(10 ** 6) as budget:
+            ring.s_ideal(gens).groebner_basis
+        assert budget.used > 1
+        for limit in range(1, budget.used):
+            handle = ring.s_ideal(gens)
+            with step_budget(limit):
+                with pytest.raises(BudgetExceededError):
+                    handle.groebner_basis
+            assert base.groebner_basis is basis
+            assert [(g._ints[0], g._ints[1], g._ints[2]) for g in basis] == cached
+            with step_budget(10 ** 6):
+                assert handle.groebner_basis == buchberger(handle.gens, handle.order)
+
 
 class TestHandedOverBases:
     @given(ring_and_polys(homogeneous=False), st.integers(0, 2))
@@ -135,25 +163,25 @@ class TestTruncatedMinimalize:
     def test_equals_untruncated_scan(self, case):
         ring, gens = case
         expected = untruncated_minimalize(gens, ring.sig, list(ring.defining.gens))
-        assert minimalize_homogeneous(gens, ring.sig, modulo=ring.defining) == expected
+        assert minimal_scan(gens, ring.defining) == expected
 
     def test_pair_at_the_top_degree_is_taken(self):
         # y^3 = y (x^2 + y^2) - x (xy): a pair of lcm degree 3, the top
         gens = parse_many(["x^2 + y^2", "y^3"], NODE.sig)
-        kept = minimalize_homogeneous(gens, NODE.sig, modulo=NODE.defining)
+        kept = minimal_scan(gens, NODE.defining)
         assert [str(g) for g in kept] == ["x^2 + y^2"]
 
     def test_pair_above_a_candidate_stays_pending(self):
         # the pair of xy and x^2 + y^2 has lcm degree 3: the member
         # 2x^2 + 2y^2 is decided without it, and y^3 needs it
         gens = parse_many(["x^2 + y^2", "2*x^2 + 2*y^2", "y^3"], NODE.sig)
-        kept = minimalize_homogeneous(gens, NODE.sig, modulo=NODE.defining)
+        kept = minimal_scan(gens, NODE.defining)
         assert [str(g) for g in kept] == ["x^2 + y^2"]
 
     def test_returns_the_inputs(self):
         # x^2 + xy is kept through its remainder x^2 modulo xy
         g, = parse_many(["x^2 + x*y"], NODE.sig)
-        kept = minimalize_homogeneous([g], NODE.sig, modulo=NODE.defining)
+        kept = minimal_scan([g], NODE.defining)
         assert len(kept) == 1 and kept[0] is g
         assert str(kept[0]) == "x^2 + x*y"
 
@@ -162,16 +190,16 @@ class TestTruncatedMinimalize:
         gens = parse_many(["x^2 + y*z", "y^2 + x*w", "z^2 + x*y", "x^3", "w^3",
                            "x*y*z"], TWISTED.sig)
         modulo = TWISTED.defining
-        expected = minimalize_homogeneous(gens, TWISTED.sig, modulo=modulo)
+        expected = minimal_scan(gens, modulo)
         basis = modulo.groebner_basis
         cached = [(g._ints[0], g._ints[1], dict(g._ints[2])) for g in basis]
         with step_budget(10):
             with pytest.raises(BudgetExceededError):
-                minimalize_homogeneous(gens, TWISTED.sig, modulo=modulo)
+                minimal_scan(gens, modulo)
         assert modulo.groebner_basis is basis
         assert [(g._ints[0], g._ints[1], g._ints[2]) for g in basis] == cached
         with step_budget(10 ** 6):
-            again = minimalize_homogeneous(gens, TWISTED.sig, modulo=modulo)
+            again = minimal_scan(gens, modulo)
         assert again == expected
         assert all(a is b for a, b in zip(again, expected))
 
@@ -188,7 +216,7 @@ class TestSharedScan:
         candidates = scan_candidates(ring, gens)
         assert presented == untruncated_minimalize(candidates, ring.sig,
                                                    list(ring.defining.gens))
-        kept = minimalize_homogeneous(candidates, ring.sig, modulo=ring.defining)
+        kept = minimal_scan(candidates, ring.defining)
         assert kept == presented
         assert all(any(k is c for c in candidates) for k in kept)
         assert ring.presented_generators(handle) is presented

@@ -2,7 +2,8 @@
 
 Each order's packed encoding must agree with the order's key, multiply by
 addition, test divisibility by its guard bits and unpack to what was
-packed.  Beyond the limit of weighted degree 16383 per block of the order,
+packed, and its largest packed term must be the order's leading monomial.
+Beyond the limit of weighted degree 16383 per block of the order,
 the engine raises DegreeLimitError, a ValueError that names the limit,
 through the library and through the CLI (exit 1, as an input past the
 limit), instead of wrapping a field into a wrong answer.
@@ -14,7 +15,7 @@ import contextlib
 import io
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from difftrace.cli import main
@@ -23,12 +24,15 @@ from difftrace.groebner import (
     DegreeLimitError,
     IdealHandle,
     WeightedGrevlex,
+    _poly_element,
     buchberger,
     eliminate,
+    leading_monomial,
     normal_form_raw,
 )
 from difftrace.poly import Polynomial, RingSignature, mono_mul, parse_many
 from conftest import vector_remainder
+from strategies import sig_and_polys
 
 LIMIT = 16383
 
@@ -65,6 +69,26 @@ def test_packing_agrees_with_the_order(case):
     assert packing.lcm(pa, packing.pack(c)) == packing.pack(tuple(map(max, a, c)))
     assert packing.unpack(pa) == a
     assert packing.unpack(pa + pb - packing.base) == mono_mul(a, b)
+
+
+@st.composite
+def orders_and_polynomials(draw, block: bool):
+    """A nonzero polynomial and an order of its signature: weighted grevlex,
+    or the block order at any cut."""
+    sig, p = draw(sig_and_polys())
+    assume(not p.is_zero and (sig.nvars > 1 or not block))
+    if block:
+        return BlockOrder(sig.weights, draw(st.integers(1, sig.nvars - 1))), p
+    return WeightedGrevlex(sig.weights), p
+
+
+@pytest.mark.parametrize("block", [False, True], ids=["grevlex", "block"])
+@given(data=st.data())
+def test_the_two_leads_agree(block, data):
+    """The scan sorts by leading_monomial and the engine leads by the
+    largest packed monomial of an element: they are the same monomial."""
+    order, p = data.draw(orders_and_polynomials(block))
+    assert leading_monomial(p, order) == order._packing.unpack(_poly_element(p, order)[1])
 
 
 @pytest.mark.parametrize("order", [WeightedGrevlex((1, 2, 1)), BlockOrder((1, 2, 1), 1),
