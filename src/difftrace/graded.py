@@ -253,10 +253,8 @@ def _relation_entries(P: ModulePresentation, shifts: Sequence[int]) -> list[list
     entries: list[list] = [[] for _ in range(P.target_rank)]
     for index, relation in enumerate(P.columns):
         total = None
-        for t, entry in enumerate(relation):
+        for t, entry in relation.items():
             terms = entry.terms
-            if not terms:
-                continue
             if total is None:
                 total = degree_of(next(iter(terms))) + shifts[t]
             got = exact.get(id(terms))

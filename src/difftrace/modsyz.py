@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .groebner import (
     IdealHandle,
@@ -61,11 +61,12 @@ Column = tuple[Polynomial, ...]
 
 # -- kernels over the quotient -------------------------------------------------
 
-def syzygies(rows: Sequence[Sequence[Polynomial]], algebra: GradedAlgebra,
-             width: int | None = None) -> list[Column]:
+def syzygies(rows: Sequence[Mapping[int, Polynomial]], algebra: GradedAlgebra,
+             width: int) -> list[Column]:
     """Generators of the kernel of the matrix over the quotient ring.
 
-    The matrix is given by rows (p of them, each of length q); the result is a
+    The p x q matrix, q = width, is given by its rows, each a map from a
+    column index j < q to the row's nonzero entry there.  The result is a
     list of distinct nonzero length-q columns v with rows * v = 0 modulo the
     defining ideal I, with entries in normal form, sorted by their strings.
     They are read off the module generated by (B e_j, e_j) and the (f e_r),
@@ -91,13 +92,14 @@ def syzygies(rows: Sequence[Sequence[Polynomial]], algebra: GradedAlgebra,
     sig = algebra.sig
     order = default_order(sig)
     p = len(rows)
-    if width is None:
-        if p == 0:
-            raise ValueError("pass width explicitly for a matrix with no rows")
-        width = len(rows[0])
     q = width
-    if any(len(r) != q for r in rows):
-        raise ValueError("ragged matrix")
+    # each (B e_j, e_j) at the row positions, from the nonzero entries
+    comps: list[dict] = [{} for _ in range(q)]
+    for i, row in enumerate(rows):
+        for j, entry in row.items():
+            if j not in range(q):
+                raise ValueError(f"matrix entry in column {j}, outside width {q}")
+            comps[j][i] = entry.terms
     if q == 0:
         return []
     if p == 0:
@@ -108,10 +110,9 @@ def syzygies(rows: Sequence[Sequence[Polynomial]], algebra: GradedAlgebra,
     tagged = _quotient_block(algebra, order, range(p, p + q))
     one = Polynomial.one(sig).terms
     inputs = []
-    for j in range(q):
-        comps = {i: rows[i][j].terms for i in range(p)}
-        comps[p + j] = one
-        inputs.append(_primitive(_integers(comps, packing)[0]))
+    for j, comp in enumerate(comps):
+        comp[p + j] = one
+        inputs.append(_primitive(_integers(comp, packing)[0]))
     kernel = _syzygy_basis(_quotient_block(algebra, order, range(p)), inputs, tagged,
                            p, order, budget)
 
@@ -152,20 +153,24 @@ def _unit_column(sig: RingSignature, q: int, j: int) -> Column:
 
 @dataclass
 class ModulePresentation:
-    """Cokernel presentation: free target of given rank modulo column relations."""
+    """Cokernel presentation: free target of given rank modulo column relations,
+    each a map from a target row to its nonzero entry there."""
 
     algebra: GradedAlgebra
     target_rank: int
-    columns: tuple[Column, ...]
+    columns: tuple[dict[int, Polynomial], ...]
 
     def __post_init__(self):
         if self.target_rank < 0:
             raise ValueError("target rank cannot be negative")
         sig = self.algebra.sig
+        rows = range(self.target_rank)
         for col in self.columns:
-            if len(col) != self.target_rank:
-                raise ValueError("relation column length differs from target rank")
-            for entry in col:
+            for t, entry in col.items():
+                if t not in rows:
+                    raise ValueError(f"relation entry in row {t}, outside the target")
+                if not entry.terms:
+                    raise ValueError("relation column holds a zero entry")
                 # entries nearly always share the algebra's signature object
                 if entry.sig is not sig and entry.sig != sig:
                     raise ValueError("relation entry over a different signature")
@@ -182,7 +187,7 @@ def exterior_power_presentation(P: ModulePresentation, k: int) -> ModulePresenta
     order.  Each old relation column wedged against a (k-1)-subset gives a new
     relation; the sign of moving e_i past e_T' is (-1)^(number of t in T'
     with t > i).  Each i outside T' gives its own subset, so every entry of
-    the new relation is one old entry or its negative.
+    the new relation is one old entry or its negative; one with none is left out.
     """
     if k < 0:
         raise ValueError("exterior power degree cannot be negative")
@@ -194,27 +199,19 @@ def exterior_power_presentation(P: ModulePresentation, k: int) -> ModulePresenta
         return ModulePresentation(algebra, 0, ())
     subsets = list(itertools.combinations(range(m), k))
     index = {s: t for t, s in enumerate(subsets)}
-    zero = Polynomial.zero(algebra.sig)
-    new_columns: list[Column] = []
+    new_columns = []
     # each column beside its negative, made once for all prefixes
-    signed = [(col, tuple(-entry if entry.terms else entry for entry in col))
-              for col in P.columns]
+    signed = [(col, {i: -entry for i, entry in col.items()}) for col in P.columns]
     for prefix in itertools.combinations(range(m), k - 1):
-        inside = set(prefix)
         # where e_i lands in e_i ^ e_T', and its sign, for each i outside T'
-        places = [(i, index[tuple(sorted(prefix + (i,)))],
-                   sum(1 for t in prefix if t > i) % 2)
-                  for i in range(m) if i not in inside]
+        places = {i: (index[tuple(sorted(prefix + (i,)))],
+                      sum(1 for t in prefix if t > i) % 2)
+                  for i in range(m) if i not in prefix}
         for col, negated in signed:
-            out = [zero] * len(subsets)
-            touched = False
-            for i, target, odd in places:
-                entry = col[i]
-                if entry.terms:
-                    out[target] = negated[i] if odd else entry
-                    touched = True
-            if touched:
-                new_columns.append(tuple(out))
+            wedged = {target: negated[i] if odd else col[i]
+                      for i, (target, odd) in places.items() if i in col}
+            if wedged:
+                new_columns.append(wedged)
     return ModulePresentation(algebra, len(subsets), tuple(new_columns))
 
 
@@ -225,7 +222,7 @@ def kernel_columns(P: ModulePresentation) -> list[Column]:
     the ring, evaluated on the target generators.
     """
     # row j of the transposed matrix is the j-th relation column
-    return syzygies(P.columns, P.algebra, width=P.target_rank)
+    return syzygies(P.columns, P.algebra, P.target_rank)
 
 
 def trace_ideal(P: ModulePresentation) -> IdealHandle:
@@ -275,10 +272,12 @@ def matrix_minors(rows: Sequence[Sequence[Polynomial]], t: int,
     """All t x t minors, via Laplace expansion with shared sub-minor memoization."""
     if t < 0:
         raise ValueError("minor size cannot be negative")
-    if t == 0:
-        return [Polynomial.one(sig)]
     p = len(rows)
     q = len(rows[0]) if rows else 0
+    if any(len(r) != q for r in rows):
+        raise ValueError("ragged matrix")
+    if t == 0:
+        return [Polynomial.one(sig)]
     if t > p or t > q:
         return []
     memo: dict = {}

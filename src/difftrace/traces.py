@@ -45,11 +45,9 @@ def jacobian_matrix(S: GradedAlgebra) -> list[list[Polynomial]]:
 def kaehler_presentation(S: GradedAlgebra) -> ModulePresentation:
     """The differentials presented on dx_1..dx_n with one relation per generator."""
     if S._kaehler_cache is None:
-        jac = jacobian_matrix(S)
-        columns = tuple(
-            tuple(jac[i][j] for i in range(S.nvars))
-            for j in range(len(S.defining.gens))
-        )
+        columns = tuple({i: d for i in range(S.nvars)
+                         if not (d := g.partial_derivative(i)).is_zero}
+                        for g in S.defining.gens)
         S._kaehler_cache = ModulePresentation(S, S.nvars, columns)
     return S._kaehler_cache
 
@@ -81,16 +79,16 @@ def diff_trace(S: GradedAlgebra, power: int) -> IdealHandle:
 def _column_basis(P: ModulePresentation) -> ModulePresentation:
     """P with only its first Q-independent relation columns, in order.
 
-    Each column is a row {(t, monomial): coefficient} of an echelon form
-    over Q; a column that reduces to zero against the earlier ones is
-    dropped.  Every row subtraction ticks the ambient budget.
+    Each column's nonzero entries make a row {(t, monomial): coefficient}
+    of an echelon form over Q; a column that reduces to zero against the
+    earlier ones is dropped.  Every row subtraction ticks the ambient budget.
     """
     budget = current_budget()
     pivots: dict = {}
     kept = []
     for column in P.columns:
         rank = len(pivots)
-        _insert(pivots, {(t, m): c for t, entry in enumerate(column)
+        _insert(pivots, {(t, m): c for t, entry in column.items()
                          for m, c in entry.terms.items()}, budget)
         if len(pivots) > rank:
             kept.append(column)

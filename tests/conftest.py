@@ -72,6 +72,19 @@ def make_ring(names, weights, gens, reduced=True, equidim=True) -> GradedAlgebra
     )
 
 
+def dense(P) -> list[tuple[Polynomial, ...]]:
+    """The relation columns of a ModulePresentation as full tuples, one
+    entry per target row, zero where the column's map has none."""
+    zero = Polynomial.zero(P.algebra.sig)
+    return [tuple(col.get(t, zero) for t in range(P.target_rank)) for col in P.columns]
+
+
+def sparse(rows) -> list[dict[int, Polynomial]]:
+    """The rows of a matrix as `syzygies` takes them: each a map from a
+    column index to the row's nonzero entry there."""
+    return [{j: e for j, e in enumerate(row) if not e.is_zero} for row in rows]
+
+
 def vector_remainder(v: dict[int, Polynomial], basis, order) -> dict[int, Polynomial]:
     """Full remainder of a {position: Polynomial} map under division by the
     nonzero basis maps in list order, run by the engine's integer kernel

@@ -10,7 +10,7 @@ import json
 import math
 import random
 
-from conftest import make_ring, presented
+from conftest import dense, make_ring, presented
 from oracles import (
     monomials_of_weighted_degree,
     oracle_ideal_equal,
@@ -241,7 +241,7 @@ def test_criterion_3_exact_engine_invariants(corpus):
         for k in range(1, R.dimension + 1):
             wedge = exterior_power_presentation(omega, k)
             for col in kernel_columns(wedge):
-                for relation in wedge.columns:
+                for relation in dense(wedge):
                     dot = Polynomial.zero(R.sig)
                     for a, b in zip(relation, col):
                         dot = dot + a * b
@@ -252,7 +252,7 @@ def test_criterion_3_exact_engine_invariants(corpus):
         R = corpus[name].algebra
         omega = kaehler_presentation(R)
         for col in kernel_columns(omega):
-            for relation in omega.columns:
+            for relation in dense(omega):
                 dot = Polynomial.zero(R.sig)
                 for a, b in zip(relation, col):
                     dot = dot + a * b

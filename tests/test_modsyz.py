@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_ring, ring_powers, vector_remainder, wedge_shifts
+from conftest import dense, make_ring, ring_powers, sparse, vector_remainder, wedge_shifts
 from oracles import (
     QuotientSlices,
     oracle_column_rank,
@@ -50,16 +50,15 @@ def residue(p, algebra):
 
 def block_sum(P: ModulePresentation, Q: ModulePresentation) -> ModulePresentation:
     """Block-diagonal presentation of the direct sum of P and Q."""
-    zero = Polynomial.zero(P.algebra.sig)
-    cols = [col + (zero,) * Q.target_rank for col in P.columns]
-    cols += [(zero,) * P.target_rank + col for col in Q.columns]
+    cols = list(P.columns)
+    cols += [{P.target_rank + t: e for t, e in col.items()} for col in Q.columns]
     return ModulePresentation(P.algebra, P.target_rank + Q.target_rank, tuple(cols))
 
 
 def column_in_kernel(column, P: ModulePresentation) -> bool:
     """Directly check the defining equations: every relation pairs to zero."""
     algebra = P.algebra
-    for rel in P.columns:
+    for rel in dense(P):
         acc = Polynomial.zero(algebra.sig)
         for a, w in zip(rel, column):
             acc = acc + a * w
@@ -99,7 +98,7 @@ class TestSyzygies:
     def test_koszul_over_polynomial_ring(self):
         plane = make_ring(["x", "y"], [1, 1], [])
         rows = [parse_many(["x", "y"], XY)]
-        K = syzygies(rows, plane)
+        K = syzygies(sparse(rows), plane, 2)
         koszul = tuple(parse_many(["y", "-x"], XY))
         quotient = QuotientSlices([], XY)
         assert oracle_in_span(koszul, K, [0, 0], quotient)
@@ -110,17 +109,17 @@ class TestSyzygies:
         # (x, 1, 0) and (y, 0, 1) lead with the coprime x and y, but
         # y*(x, 1, 0) - x*(y, 0, 1) = (0, y, -x) is not zero: it is the kernel
         plane = make_ring(["x", "y"], [1, 1], [])
-        K = syzygies([parse_many(["x", "y"], XY)], plane)
+        K = syzygies(sparse([parse_many(["x", "y"], XY)]), plane, 2)
         assert [[str(e) for e in col] for col in K] == [["y", "-x"]]
 
     def test_node_kernel_exact(self, node):
         rows = [parse_many(["y", "x"], XY)]
-        K = syzygies(rows, node)
+        K = syzygies(sparse(rows), node, 2)
         assert [[str(e) for e in col] for col in K] == [["0", "y"], ["x", "0"]]
 
     def test_sorted_and_deduplicated(self, node):
         rows = [parse_many(["y", "x"], XY)]
-        K = syzygies(rows, node)
+        K = syzygies(sparse(rows), node, 2)
         keys = [tuple(str(e) for e in col) for col in K]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
@@ -198,7 +197,7 @@ class TestSyzygiesAgainstModuleBasis:
         # the largest example takes 21 steps: the budget turns a runaway
         # kernel into a failure within seconds
         with step_budget(EXAMPLE_STEPS):
-            columns = syzygies(rows, algebra, width=q)
+            columns = syzygies(sparse(rows), algebra, q)
         assert columns == module_syzygies(rows, algebra, q)
 
     def test_reduction_only_below_the_signature(self):
@@ -207,7 +206,7 @@ class TestSyzygiesAgainstModuleBasis:
         with a random search; the derandomized examples above miss it)."""
         rows = [parse_many(["c", "1", "b*c"], CONIC.sig),
                 parse_many(["0", "1", "1"], CONIC.sig)]
-        K = syzygies(rows, CONIC)
+        K = syzygies(sparse(rows), CONIC, 3)
         assert [[str(e) for e in col] for col in K] == [
             ["a*c^2 - b", "b*c", "-b*c"], ["b*c - 1", "c", "-c"]]
         assert K == module_syzygies(rows, CONIC, 3)
@@ -220,7 +219,7 @@ class TestSyzygiesAgainstModuleBasis:
         """Over Q[x, y]/(2x^2 - 2y^2, xy), whose reduced basis adds y^3."""
         algebra = DIFF_RINGS[3]
         rows = [parse_many(row, algebra.sig)]
-        K = syzygies(rows, algebra)
+        K = syzygies(sparse(rows), algebra, 2)
         assert K == module_syzygies(rows, algebra, 2)
         assert [[str(e) for e in col] for col in K] == expected
 
@@ -233,7 +232,7 @@ class TestTagPass:
         seed (x^3 - y^2) e_0; reduced modulo I it gives (y^2, -y)."""
         cusp = make_ring(["x", "y"], [2, 3], ["x^3 - y^2"])
         rows = [parse_many(["1", "y"], cusp.sig)]
-        K = syzygies(rows, cusp)
+        K = syzygies(sparse(rows), cusp, 2)
         assert [[str(e) for e in col] for col in K] == [["y", "-1"], ["y^2", "-y"]]
         assert K == module_syzygies(rows, cusp, 2)
 
@@ -250,7 +249,7 @@ class TestCoefficientGrowth:
                             "2*x*y^2*z - 3/2*y*z"], algebra.sig)]
         # a pair loop without signatures took 795 steps here
         with step_budget(10 ** 6) as budget:
-            K = syzygies(rows, algebra)
+            K = syzygies(sparse(rows), algebra, 3)
         assert budget.used == 32
         assert [[str(e) for e in col] for col in K] == [
             ["0", "0", "y^2 - x*z"],
@@ -262,12 +261,15 @@ class TestCoefficientGrowth:
 
 
 def scaled(column, c):
-    return tuple(e.scale(c) for e in column)
+    return {t: e.scale(c) for t, e in column.items()}
 
 
 def combined(a, b, c):
-    """a + c * b, entry by entry."""
-    return tuple(x + y.scale(c) for x, y in zip(a, b))
+    """a + c * b, entry by entry, keeping the nonzero sums."""
+    sums = dict(a)
+    for t, e in b.items():
+        sums[t] = sums[t] + e.scale(c) if t in sums else e.scale(c)
+    return {t: sums[t] for t in sorted(sums) if not sums[t].is_zero}
 
 
 def independent_prefix(columns) -> list:
@@ -281,8 +283,8 @@ def assert_same_kernel(P: ModulePresentation, padded: ModulePresentation):
     exactly the first independent columns, and the kernel columns and trace
     generators of padded, of that basis and of P agree, in order."""
     basis = _column_basis(padded)
-    assert list(basis.columns) == independent_prefix(padded.columns)
-    assert len(basis.columns) == oracle_column_rank(P.columns)
+    assert dense(basis) == independent_prefix(dense(padded))
+    assert len(basis.columns) == oracle_column_rank(dense(P))
     K = kernel_columns(P)
     assert kernel_columns(basis) == K
     assert kernel_columns(padded) == K
@@ -333,7 +335,7 @@ class TestColumnBasis:
         algebra = load_ring(str(TWISTED)).algebra
         P = exterior_power_presentation(kaehler_presentation(algebra), 3)
         c = P.columns
-        assert (len(c), oracle_column_rank(c)) == (18, 15)
+        assert (len(c), oracle_column_rank(dense(P))) == (18, 15)
         padded = list(c)
         padded.insert(0, c[5])
         padded.insert(3, scaled(c[0], Fraction(-3, 2)))
@@ -388,11 +390,12 @@ class TestKernelCompletenessOracle:
         sig, gens = algebra.sig, algebra.defining.gens
         P = exterior_power_presentation(kaehler_presentation(algebra), k)
         K = kernel_columns(P)
-        assert all(oracle_in_kernel(g, P.columns, gens, sig) for g in K)
+        relations = dense(P)
+        assert all(oracle_in_kernel(g, relations, gens, sig) for g in K)
         shifts = wedge_shifts(sig, k)
         quotient = QuotientSlices(gens, sig)
         for delta in range(-max(shifts), KERNEL_ORACLE_MAX_DELTA + 1):
-            expected = oracle_kernel_dimension(P.columns, shifts, quotient, delta)
+            expected = oracle_kernel_dimension(relations, shifts, quotient, delta)
             assert oracle_span_dimension(K, shifts, quotient, delta) == expected, delta
 
 
@@ -406,6 +409,30 @@ class TestKernelSoundness:
                 )
                 for col in kernel_columns(P):
                     assert column_in_kernel(col, P), (entry.name, k)
+
+
+def dense_wedge(P: ModulePresentation, k: int) -> tuple[int, list[tuple]]:
+    """The target rank and full-tuple relation columns of the k-th wedge,
+    built on P's columns as full tuples: each column against each
+    (k-1)-subset T' in lex order, e_i landing on T' + {i} with the sign
+    (-1)^(number of t in T' with t > i), and zero columns left out."""
+    m = P.target_rank
+    if k == 0:
+        return 1, []
+    subsets = list(itertools.combinations(range(m), k))
+    zero = Polynomial.zero(P.algebra.sig)
+    out = []
+    for prefix in itertools.combinations(range(m), k - 1):
+        for col in dense(P):
+            wedged = [zero] * len(subsets)
+            for i, entry in enumerate(col):
+                if i not in prefix:
+                    odd = sum(1 for t in prefix if t > i) % 2
+                    wedged[subsets.index(tuple(sorted(prefix + (i,))))] = (
+                        -entry if odd else entry)
+            if any(not e.is_zero for e in wedged):
+                out.append(tuple(wedged))
+    return len(subsets), out
 
 
 class TestExteriorPower:
@@ -429,7 +456,24 @@ class TestExteriorPower:
     def test_node_square_relations(self, node):
         E = exterior_power_presentation(kaehler_presentation(node), 2)
         assert E.target_rank == 1
-        assert [[str(e) for e in col] for col in E.columns] == [["x"], ["-y"]]
+        assert [{t: str(e) for t, e in col.items()} for col in E.columns] == [
+            {0: "x"}, {0: "-y"}]
+
+    def test_wedge_equals_dense_construction(self, corpus):
+        """On every corpus ring and power, the wedge's columns, read as full
+        tuples, are those of the dense construction, in order."""
+        for entry in corpus.values():
+            P = kaehler_presentation(entry.algebra)
+            for k in range(P.target_rank + 2):
+                E = exterior_power_presentation(P, k)
+                rank, columns = dense_wedge(P, k)
+                assert E.target_rank == rank, (entry.name, k)
+                assert dense(E) == columns, (entry.name, k)
+
+    def test_kaehler_column_holds_only_nonzero_partials(self):
+        space = make_ring(["x", "y", "z"], [1, 1, 1], ["x*y"])
+        (column,) = kaehler_presentation(space).columns
+        assert {t: str(e) for t, e in column.items()} == {0: "y", 1: "x"}
 
     def test_relation_count(self, conic):
         # one original relation wedged with each basis vector of the target
@@ -498,6 +542,16 @@ class TestMinors:
         ]
         assert [str(m) for m in matrix_minors(rows, 3, sig)] == ["x^3 + y^3"]
 
+    @pytest.mark.parametrize("rows", [[["x"], ["x", "y"]], [["x", "y"], ["x"]],
+                                      [["x", "y"], ["x", "y", "x"]]])
+    def test_rejects_ragged_matrix(self, rows):
+        sig = RingSignature.standard("x", "y")
+        rows = [parse_many(row, sig) for row in rows]
+        with pytest.raises(ValueError, match="ragged matrix"):
+            matrix_minors(rows, 2, sig)
+        with pytest.raises(ValueError, match="ragged matrix"):
+            fitting_ideal(rows, 2, sig)
+
     def test_fitting_handle(self):
         sig = RingSignature.standard("x", "y", "z", "w")
         rows = [parse_many(["x", "y"], sig), parse_many(["z", "w"], sig)]
@@ -510,15 +564,24 @@ class TestMinors:
 
 
 class TestPresentationValidation:
-    def test_rejects_wrong_column_length(self, node):
+    def test_rejects_zero_entry(self, node):
         with pytest.raises(ValueError):
-            ModulePresentation(node, 2, ((Polynomial.one(XY),),))
+            ModulePresentation(node, 2, ({0: Polynomial.one(XY), 1: Polynomial.zero(XY)},))
+
+    @pytest.mark.parametrize("row", [2, -1])
+    def test_rejects_row_outside_target(self, node, row):
+        with pytest.raises(ValueError):
+            ModulePresentation(node, 2, ({row: Polynomial.one(XY)},))
 
     def test_rejects_negative_rank(self, node):
         with pytest.raises(ValueError):
             ModulePresentation(node, -1, ())
 
     def test_rejects_foreign_signature(self, node, conic):
-        col = (Polynomial.one(conic.sig), Polynomial.one(conic.sig))
+        col = {0: Polynomial.one(conic.sig), 1: Polynomial.one(conic.sig)}
         with pytest.raises(ValueError):
             ModulePresentation(node, 2, (col,))
+
+    def test_syzygies_rejects_column_outside_width(self, node):
+        with pytest.raises(ValueError):
+            syzygies([{0: Polynomial.one(XY), 2: Polynomial.one(XY)}], node, 2)

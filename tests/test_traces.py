@@ -10,6 +10,7 @@ from conftest import (
     RING_FILES,
     build_corpus,
     corpus_powers,
+    dense,
     make_ring,
     presented,
     ring_powers,
@@ -122,8 +123,7 @@ class TestEulerContainment:
             # the weighted Euler derivation (w_1 x_1, ..., w_n x_n)
             column = [Polynomial.variable(S.sig, i).scale(S.sig.weights[i])
                       for i in range(S.nvars)]
-            P = kaehler_presentation(S)
-            for rel in P.columns:
+            for rel in dense(kaehler_presentation(S)):
                 acc = Polynomial.zero(S.sig)
                 for a, w in zip(rel, column):
                     acc = acc + a * w
@@ -453,7 +453,7 @@ def _assert_trace_slices_match_oracle(algebra, k):
     entries = graded._relation_entries(P, shifts)
     trace = [(g,) for g in diff_trace(algebra, k).gens]
     for degree in range(TRACE_ORACLE_MAX_DEGREE + 1):
-        expected = oracle_trace_dimension(P.columns, shifts, quotient, degree)
+        expected = oracle_trace_dimension(dense(P), shifts, quotient, degree)
         assert oracle_span_dimension(trace, [0], quotient, degree) == expected, degree
         assert len(graded._trace_piece(entries, shifts, solver, degree)) == expected, \
             degree
@@ -537,7 +537,7 @@ class TestGradedSolverIsExact:
                     for vector in graded._kernel(entries, shifts, solver, degree - shift):
                         _assert_exact(vector.values(), ("kernel", k, degree - shift))
                 piece = graded._trace_piece(entries, shifts, solver, degree)
-                assert len(piece) == oracle_trace_dimension(P.columns, shifts, oracle,
+                assert len(piece) == oracle_trace_dimension(dense(P), shifts, oracle,
                                                             degree), (k, degree)
                 for row in piece.values():
                     _assert_exact(row.values(), ("trace piece", k, degree))
