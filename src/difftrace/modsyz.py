@@ -1,7 +1,8 @@
 """Finitely presented modules: syzygies, exterior powers, trace and Fitting ideals.
 
 A ModulePresentation is a cokernel presentation over a GradedAlgebra: a free
-target of fixed rank and a list of relation columns.  The kernel of a p x q
+target of fixed rank and a list of relation columns, each (as each kernel
+column) a map from an index to its nonzero entry there.  The kernel of a p x q
 matrix B over the quotient R = Q[x]/I is computed in the ambient polynomial
 ring as Singular's `modulo` does: the module generated by the columns
 (B e_j, e_j) and the vectors (f e_r, 0), for f in I and r < p, meets the last
@@ -56,19 +57,17 @@ from .groebner import (
 from .poly import Polynomial, RingSignature
 from .rings import GradedAlgebra
 
-Column = tuple[Polynomial, ...]
-
 
 # -- kernels over the quotient -------------------------------------------------
 
 def syzygies(rows: Sequence[Mapping[int, Polynomial]], algebra: GradedAlgebra,
-             width: int) -> list[Column]:
+             width: int) -> list[dict[int, Polynomial]]:
     """Generators of the kernel of the matrix over the quotient ring.
 
     The p x q matrix, q = width, is given by its rows, each a map from a
     column index j < q to the row's nonzero entry there.  The result is a
-    list of distinct nonzero length-q columns v with rows * v = 0 modulo the
-    defining ideal I, with entries in normal form, sorted by their strings.
+    list of distinct nonzero column maps v with rows * v = 0 modulo the
+    defining ideal I, with entries in normal form, in the order below.
     They are read off the module generated by (B e_j, e_j) and the (f e_r),
     for f in the reduced Groebner basis of I and r < p, by the signature
     loop of `groebner._syzygy_basis`: the signature of an element is the
@@ -88,6 +87,9 @@ def syzygies(rows: Sequence[Mapping[int, Polynomial]], algebra: GradedAlgebra,
     one.  Only those elements, leading at a defining lead, are reduced
     modulo I; an element equal to its seed f e_j is dropped without being
     reduced.  The others are already in normal form.
+
+    The columns are sorted by the strings of their entries, "0" where a map
+    has none; with no rows they are the unit columns e_j, in index order.
     """
     sig = algebra.sig
     order = default_order(sig)
@@ -103,7 +105,7 @@ def syzygies(rows: Sequence[Mapping[int, Polynomial]], algebra: GradedAlgebra,
     if q == 0:
         return []
     if p == 0:
-        return [_unit_column(sig, q, j) for j in range(q)]
+        return [{j: Polynomial.one(sig)} for j in range(q)]
 
     budget = current_budget()
     packing = order._packing
@@ -119,7 +121,7 @@ def syzygies(rows: Sequence[Mapping[int, Polynomial]], algebra: GradedAlgebra,
     # the seed at each tag position, by its lead
     seeds = {(pos, lm): ints for pos, lm, ints, _ in tagged}
     tags = _buckets(tagged, packing)
-    columns: dict[tuple[str, ...], Column] = {}
+    columns: dict[tuple[str, ...], dict[int, Polynomial]] = {}
     for pos, lm, ints, den in kernel:
         seed = seeds.get((pos, lm))
         if seed is not None:
@@ -127,9 +129,9 @@ def syzygies(rows: Sequence[Mapping[int, Polynomial]], algebra: GradedAlgebra,
                 continue
             ints, den = _reduce({i: dict(comp) for i, comp in ints.items()}, den,
                                 tags, packing, budget)
-        column = tuple(Polynomial._of(sig, _fractions(ints.get(p + j, {}), den, packing))
-                       for j in range(q))
-        columns.setdefault(tuple(str(e) for e in column), column)
+        column = {i - p: Polynomial._of(sig, _fractions(ints[i], den, packing))
+                  for i in sorted(ints)}
+        columns.setdefault(tuple(str(column.get(j, "0")) for j in range(q)), column)
     return [columns[key] for key in sorted(columns)]
 
 
@@ -142,11 +144,6 @@ def _quotient_block(algebra: GradedAlgebra, order: Order,
     elements = [_poly_element(f, order) for f in algebra.defining.groebner_basis]
     return [(r, lm, {r: ints[0]}, lead) for r in positions
             for _, lm, ints, lead in elements]
-
-
-def _unit_column(sig: RingSignature, q: int, j: int) -> Column:
-    return tuple(Polynomial.one(sig) if i == j else Polynomial.zero(sig)
-                 for i in range(q))
 
 
 # -- presentations --------------------------------------------------------------
@@ -215,8 +212,8 @@ def exterior_power_presentation(P: ModulePresentation, k: int) -> ModulePresenta
     return ModulePresentation(algebra, len(subsets), tuple(new_columns))
 
 
-def kernel_columns(P: ModulePresentation) -> list[Column]:
-    """Generators of the kernel of the transposed relation matrix.
+def kernel_columns(P: ModulePresentation) -> list[dict[int, Polynomial]]:
+    """Column maps generating the kernel of the transposed relation matrix.
 
     Each column corresponds to a homomorphism from the presented module to
     the ring, evaluated on the target generators.
@@ -229,17 +226,19 @@ def trace_ideal(P: ModulePresentation) -> IdealHandle:
     """Sum of the images of all maps from the presented module to the ring.
 
     Generated by every entry of every kernel column of the transposed
-    relation matrix, lifted together with the defining ideal.  The kernel
-    depends only on the span of the relation columns, so a presentation
+    relation matrix, lifted together with the defining ideal; of p and -p
+    (a wedge's sign copies), only the first in (lead, string) order.  The
+    kernel depends only on the span of the relation columns, so a presentation
     reduced to a Q-basis of its columns gives the same generators, in the
     same order, from a smaller module (`traces.diff_trace` passes one).
     """
     algebra = P.algebra
-    entries = list(dict.fromkeys(entry for col in kernel_columns(P)
-                                 for entry in col if not entry.is_zero))
     order = default_order(algebra.sig)
-    entries.sort(key=lambda g: (order.key(leading_monomial(g, order)), str(g)))
-    return algebra.s_ideal(tuple(entries))
+    first: dict[frozenset[Polynomial], Polynomial] = {}
+    for g in sorted({entry for col in kernel_columns(P) for entry in col.values()},
+                    key=lambda g: (order.key(leading_monomial(g, order)), str(g))):
+        first.setdefault(frozenset((g, -g)), g)
+    return algebra.s_ideal(tuple(first.values()))
 
 
 # -- determinantal ideals --------------------------------------------------------

@@ -72,11 +72,16 @@ def make_ring(names, weights, gens, reduced=True, equidim=True) -> GradedAlgebra
     )
 
 
+def densified(columns, width: int, sig: RingSignature) -> list[tuple[Polynomial, ...]]:
+    """Column maps, relation or kernel columns, as full tuples for the
+    oracles: one entry per index below width, zero where a map has none."""
+    zero = Polynomial.zero(sig)
+    return [tuple(col.get(t, zero) for t in range(width)) for col in columns]
+
+
 def dense(P) -> list[tuple[Polynomial, ...]]:
-    """The relation columns of a ModulePresentation as full tuples, one
-    entry per target row, zero where the column's map has none."""
-    zero = Polynomial.zero(P.algebra.sig)
-    return [tuple(col.get(t, zero) for t in range(P.target_rank)) for col in P.columns]
+    """The relation columns of a ModulePresentation as full tuples."""
+    return densified(P.columns, P.target_rank, P.algebra.sig)
 
 
 def sparse(rows) -> list[dict[int, Polynomial]]:

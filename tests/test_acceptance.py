@@ -10,7 +10,7 @@ import json
 import math
 import random
 
-from conftest import dense, make_ring, presented
+from conftest import densified, make_ring, presented
 from oracles import (
     monomials_of_weighted_degree,
     oracle_ideal_equal,
@@ -240,22 +240,22 @@ def test_criterion_3_exact_engine_invariants(corpus):
         omega = kaehler_presentation(R)
         for k in range(1, R.dimension + 1):
             wedge = exterior_power_presentation(omega, k)
-            for col in kernel_columns(wedge):
-                for relation in dense(wedge):
+            for col in densified(kernel_columns(wedge), wedge.target_rank, R.sig):
+                for relation in wedge.columns:
                     dot = Polynomial.zero(R.sig)
-                    for a, b in zip(relation, col):
-                        dot = dot + a * b
+                    for t, a in relation.items():
+                        dot = dot + a * col[t]
                     assert ideal_membership(dot, R.defining), (entry.name, k)
 
     # the same soundness anchored by linear algebra instead of any basis engine
     for name in ("node", "cross", "conic"):
         R = corpus[name].algebra
         omega = kaehler_presentation(R)
-        for col in kernel_columns(omega):
-            for relation in dense(omega):
+        for col in densified(kernel_columns(omega), omega.target_rank, R.sig):
+            for relation in omega.columns:
                 dot = Polynomial.zero(R.sig)
-                for a, b in zip(relation, col):
-                    dot = dot + a * b
+                for t, a in relation.items():
+                    dot = dot + a * col[t]
                 if not dot.is_zero:
                     assert oracle_membership(dot, R.defining.gens, R.sig), name
 

@@ -8,7 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense, make_ring, ring_powers, sparse, vector_remainder, wedge_shifts
+from conftest import (
+    ALL_RINGS,
+    dense,
+    densified,
+    make_ring,
+    ring_powers,
+    sparse,
+    vector_remainder,
+    wedge_shifts,
+)
 from oracles import (
     QuotientSlices,
     oracle_column_rank,
@@ -55,13 +64,19 @@ def block_sum(P: ModulePresentation, Q: ModulePresentation) -> ModulePresentatio
     return ModulePresentation(P.algebra, P.target_rank + Q.target_rank, tuple(cols))
 
 
+def printed(columns) -> list[dict[int, str]]:
+    """Column maps with each entry printed."""
+    return [{t: str(e) for t, e in col.items()} for col in columns]
+
+
 def column_in_kernel(column, P: ModulePresentation) -> bool:
-    """Directly check the defining equations: every relation pairs to zero."""
+    """Directly check the defining equations: every relation pairs to zero
+    with the column, a full tuple."""
     algebra = P.algebra
-    for rel in dense(P):
+    for rel in P.columns:
         acc = Polynomial.zero(algebra.sig)
-        for a, w in zip(rel, column):
-            acc = acc + a * w
+        for t, a in rel.items():
+            acc = acc + a * column[t]
         if not residue(acc, algebra).is_zero:
             return False
     return True
@@ -98,7 +113,7 @@ class TestSyzygies:
     def test_koszul_over_polynomial_ring(self):
         plane = make_ring(["x", "y"], [1, 1], [])
         rows = [parse_many(["x", "y"], XY)]
-        K = syzygies(sparse(rows), plane, 2)
+        K = densified(syzygies(sparse(rows), plane, 2), 2, XY)
         koszul = tuple(parse_many(["y", "-x"], XY))
         quotient = QuotientSlices([], XY)
         assert oracle_in_span(koszul, K, [0, 0], quotient)
@@ -110,16 +125,16 @@ class TestSyzygies:
         # y*(x, 1, 0) - x*(y, 0, 1) = (0, y, -x) is not zero: it is the kernel
         plane = make_ring(["x", "y"], [1, 1], [])
         K = syzygies(sparse([parse_many(["x", "y"], XY)]), plane, 2)
-        assert [[str(e) for e in col] for col in K] == [["y", "-x"]]
+        assert printed(K) == [{0: "y", 1: "-x"}]
 
     def test_node_kernel_exact(self, node):
         rows = [parse_many(["y", "x"], XY)]
         K = syzygies(sparse(rows), node, 2)
-        assert [[str(e) for e in col] for col in K] == [["0", "y"], ["x", "0"]]
+        assert printed(K) == [{1: "y"}, {0: "x"}]
 
     def test_sorted_and_deduplicated(self, node):
         rows = [parse_many(["y", "x"], XY)]
-        K = syzygies(sparse(rows), node, 2)
+        K = densified(syzygies(sparse(rows), node, 2), 2, XY)
         keys = [tuple(str(e) for e in col) for col in K]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
@@ -198,7 +213,10 @@ class TestSyzygiesAgainstModuleBasis:
         # kernel into a failure within seconds
         with step_budget(EXAMPLE_STEPS):
             columns = syzygies(sparse(rows), algebra, q)
-        assert columns == module_syzygies(rows, algebra, q)
+        for col in columns:
+            assert set(col) <= set(range(q))
+            assert not any(e.is_zero for e in col.values())
+        assert densified(columns, q, algebra.sig) == module_syzygies(rows, algebra, q)
 
     def test_reduction_only_below_the_signature(self):
         """Over the conic: reducing a value lead by a reducer whose multiplied
@@ -207,21 +225,21 @@ class TestSyzygiesAgainstModuleBasis:
         rows = [parse_many(["c", "1", "b*c"], CONIC.sig),
                 parse_many(["0", "1", "1"], CONIC.sig)]
         K = syzygies(sparse(rows), CONIC, 3)
-        assert [[str(e) for e in col] for col in K] == [
-            ["a*c^2 - b", "b*c", "-b*c"], ["b*c - 1", "c", "-c"]]
-        assert K == module_syzygies(rows, CONIC, 3)
+        assert printed(K) == [{0: "a*c^2 - b", 1: "b*c", 2: "-b*c"},
+                              {0: "b*c - 1", 1: "c", 2: "-c"}]
+        assert densified(K, 3, CONIC.sig) == module_syzygies(rows, CONIC, 3)
 
     @pytest.mark.parametrize("row, expected", [
-        (["y", "y"], [["0", "x"], ["0", "y^2"], ["1", "-1"]]),
-        (["x", "1"], [["1", "-x"]]),
+        (["y", "y"], [{1: "x"}, {1: "y^2"}, {0: "1", 1: "-1"}]),
+        (["x", "1"], [{0: "1", 1: "-x"}]),
     ])
     def test_over_unreduced_generators(self, row, expected):
         """Over Q[x, y]/(2x^2 - 2y^2, xy), whose reduced basis adds y^3."""
         algebra = DIFF_RINGS[3]
         rows = [parse_many(row, algebra.sig)]
         K = syzygies(sparse(rows), algebra, 2)
-        assert K == module_syzygies(rows, algebra, 2)
-        assert [[str(e) for e in col] for col in K] == expected
+        assert densified(K, 2, algebra.sig) == module_syzygies(rows, algebra, 2)
+        assert printed(K) == expected
 
 
 class TestTagPass:
@@ -233,8 +251,8 @@ class TestTagPass:
         cusp = make_ring(["x", "y"], [2, 3], ["x^3 - y^2"])
         rows = [parse_many(["1", "y"], cusp.sig)]
         K = syzygies(sparse(rows), cusp, 2)
-        assert [[str(e) for e in col] for col in K] == [["y", "-1"], ["y^2", "-y"]]
-        assert K == module_syzygies(rows, cusp, 2)
+        assert printed(K) == [{0: "y", 1: "-1"}, {0: "y^2", 1: "-y"}]
+        assert densified(K, 2, cusp.sig) == module_syzygies(rows, cusp, 2)
 
 
 class TestCoefficientGrowth:
@@ -251,13 +269,13 @@ class TestCoefficientGrowth:
         with step_budget(10 ** 6) as budget:
             K = syzygies(sparse(rows), algebra, 3)
         assert budget.used == 32
-        assert [[str(e) for e in col] for col in K] == [
-            ["0", "0", "y^2 - x*z"],
-            ["0", "z^3 - 3/4*z", "-5/6*y*z + 3/4"],
-            ["1", "1000/819*x*z^2 + 400/273*y*z^2 + 100/91*x*z + 120/91*y*z"
-                  " + 144/91*z^2 + 2/3*x + 120/91*z",
-             "-1000/819*x*z - 2500/2457*z^2 - 100/91*x - 120/91*y"
-             " - 250/273*z - 120/91"]]
+        assert printed(K) == [
+            {2: "y^2 - x*z"},
+            {1: "z^3 - 3/4*z", 2: "-5/6*y*z + 3/4"},
+            {0: "1", 1: "1000/819*x*z^2 + 400/273*y*z^2 + 100/91*x*z + 120/91*y*z"
+                     " + 144/91*z^2 + 2/3*x + 120/91*z",
+             2: "-1000/819*x*z - 2500/2457*z^2 - 100/91*x - 120/91*y"
+                " - 250/273*z - 120/91"}]
 
 
 def scaled(column, c):
@@ -349,7 +367,7 @@ class TestKernelCompleteness:
         """Every vector with entries of degree <= 2 satisfying the kernel
         equation lies in the span of the returned generators, and conversely."""
         P = kaehler_presentation(node)
-        K = kernel_columns(P)
+        K = densified(kernel_columns(P), P.target_rank, XY)
         quotient = QuotientSlices(node.defining.gens, node.sig)
         monos = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
         coefs = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2)]
@@ -365,8 +383,8 @@ class TestKernelCompleteness:
 
     def test_random_combinations_recognized(self, conic):
         P = kaehler_presentation(conic)
-        K = kernel_columns(P)
         sig = conic.sig
+        K = densified(kernel_columns(P), P.target_rank, sig)
         quotient = QuotientSlices(conic.defining.gens, sig)
         rng = random.Random(11)
         monos = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
@@ -389,7 +407,7 @@ class TestKernelCompletenessOracle:
         algebra = load_ring(str(path)).algebra
         sig, gens = algebra.sig, algebra.defining.gens
         P = exterior_power_presentation(kaehler_presentation(algebra), k)
-        K = kernel_columns(P)
+        K = densified(kernel_columns(P), P.target_rank, sig)
         relations = dense(P)
         assert all(oracle_in_kernel(g, relations, gens, sig) for g in K)
         shifts = wedge_shifts(sig, k)
@@ -407,7 +425,7 @@ class TestKernelSoundness:
                 P = exterior_power_presentation(
                     kaehler_presentation(algebra), k
                 )
-                for col in kernel_columns(P):
+                for col in densified(kernel_columns(P), P.target_rank, algebra.sig):
                     assert column_in_kernel(col, P), (entry.name, k)
 
 
@@ -510,7 +528,7 @@ class TestTraceIdeal:
         has_unit_entry = any(
             residue(e, node).is_constant() and not residue(e, node).is_zero
             for col in kernel_columns(D)
-            for e in col
+            for e in col.values()
         )
         assert has_unit_entry
 
@@ -518,8 +536,26 @@ class TestTraceIdeal:
         P = kaehler_presentation(node)
         assert not trace_ideal(P).is_trivial
         for col in kernel_columns(P):
-            for e in col:
+            for e in col.values():
                 assert not residue(e, node).is_constant() or residue(e, node).is_zero
+
+    def test_one_copy_of_each_sign(self, corpus):
+        """The wedge's kernel entries come in pairs p and -p; on every ring
+        file and corpus ring, at every power, the trace keeps one of each,
+        and every entry is one of its generators up to sign."""
+        algebras = [load_ring(str(path)).algebra for path in ALL_RINGS]
+        algebras += [entry.algebra for entry in corpus.values()]
+        with_copies = 0
+        for algebra in algebras:
+            omega = kaehler_presentation(algebra)
+            for k in range(1, algebra.dimension + 1):
+                P = exterior_power_presentation(omega, k)
+                entries = {e for col in kernel_columns(P) for e in col.values()}
+                gens = set(trace_ideal(P).gens)
+                assert not any(-g in gens for g in gens), (algebra.sig.names, k)
+                assert all(e in gens or -e in gens for e in entries)
+                with_copies += any(-e in entries for e in entries)
+        assert with_copies >= 5
 
 
 class TestMinors:

@@ -11,6 +11,7 @@ from conftest import (
     build_corpus,
     corpus_powers,
     dense,
+    densified,
     make_ring,
     presented,
     ring_powers,
@@ -123,10 +124,10 @@ class TestEulerContainment:
             # the weighted Euler derivation (w_1 x_1, ..., w_n x_n)
             column = [Polynomial.variable(S.sig, i).scale(S.sig.weights[i])
                       for i in range(S.nvars)]
-            for rel in dense(kaehler_presentation(S)):
+            for rel in kaehler_presentation(S).columns:
                 acc = Polynomial.zero(S.sig)
-                for a, w in zip(rel, column):
-                    acc = acc + a * w
+                for t, a in rel.items():
+                    acc = acc + a * column[t]
                 assert S.reduce(acc).is_zero, entry.name
 
 
@@ -281,7 +282,7 @@ class TestSliceWitness:
 
     @staticmethod
     def _witness(S):
-        for column in kernel_columns(kaehler_presentation(S)):
+        for column in densified(kernel_columns(kaehler_presentation(S)), S.nvars, S.sig):
             images = [S.reduce(entry) for entry in column]
             for i, entry in enumerate(images):
                 if entry.terms and entry.is_constant():
