@@ -14,8 +14,9 @@ reduction kernel that makes the same reductions leaves both as they are.
 `tests/data/presented.json` pins what `presented_generators` prints for the
 same top traces: the minimal generators and the steps of that call alone.
 `tests/data/frontier.json` only gets entries appended; a stored step count
-moves only when the engine's pairs or reductions change, and the generator
-strings never do.  To print the entries of both files from the code on the
+moves only when the engine's pairs or reductions change, and a generator
+list only loses entries, as when `trace_ideal` came to keep one of each p
+and -p.  To print the entries of both files from the code on the
 path (only from code whose output is trusted):
 
     PYTHONPATH=src python tests/test_frontier.py
