@@ -15,9 +15,11 @@ reduction kernel that makes the same reductions leaves both as they are.
 same top traces: the minimal generators and the steps of that call alone.
 `tests/data/frontier.json` only gets entries appended; a stored step count
 moves only when the engine's pairs or reductions change, and a generator
-list only loses entries, as when `trace_ideal` came to keep one of each p
-and -p.  To print the entries of both files from the code on the
-path (only from code whose output is trusted):
+list only when `trace_ideal` keeps other copies of the same entries (it
+keeps one of each p and -p).  The graded solver, which shares no code with
+the kernel's signature loop, checks the pinned generators degree by degree.
+To print the entries of both files from the code on the path (only from
+code whose output is trusted):
 
     PYTHONPATH=src python tests/test_frontier.py
 """
@@ -120,8 +122,8 @@ def span_dimensions(algebra: GradedAlgebra, gens, degrees) -> list[int]:
 @pytest.mark.parametrize("name", sorted(CONES))
 def test_pinned_generators_span_the_graded_trace(name):
     """The pinned top trace and the graded solver's agree in every degree up
-    to one above the largest generator degree: a generator lost from the
-    pins, not only a sign copy, shows as a smaller span."""
+    to one above the largest generator degree: a minimal generator lost
+    from the pins shows as a smaller span."""
     algebra = CONES[name]()
     stored = json.loads(DATA.read_text(encoding="utf-8"))[name]["generators"]
     gens = [parse_polynomial(g, algebra.sig) for g in stored]
