@@ -540,9 +540,9 @@ class TestTraceIdeal:
                 assert not residue(e, node).is_constant() or residue(e, node).is_zero
 
     def test_one_copy_of_each_sign(self, corpus):
-        """The wedge's kernel entries come in pairs p and -p; on every ring
-        file and corpus ring, at every power, the trace keeps one of each,
-        and every entry is one of its generators up to sign."""
+        """A wedge's kernel entries often hold both p and -p; on every ring
+        file and corpus ring, at powers 1 to dim, the trace keeps one of
+        each, and every entry is one of its generators up to sign."""
         algebras = [load_ring(str(path)).algebra for path in ALL_RINGS]
         algebras += [entry.algebra for entry in corpus.values()]
         with_copies = 0
