@@ -591,15 +591,19 @@ class _Engine:
 
 
 def _interreduce(elements: list[_Element], packing: _Packing,
-                 budget: StepBudget) -> list[_Element]:
+                 budget: StepBudget, fixed: Iterable[_Element] = ()) -> list[_Element]:
     """The reduced Groebner basis of the module that a Groebner basis
     generates, in increasing lead order.  One sweep in increasing lead
     order drops each element whose lead a kept lead divides (the later of
     two equal leads) and reduces the tails of the others: every reducer a
-    tail can see is final, so the sweep reaches the reduced basis."""
+    tail can see is final, so the sweep reaches the reduced basis.
+
+    The `fixed` elements belong to that Groebner basis too: they start the
+    reducer buckets and are not returned, so the result is the elements of
+    the reduced basis whose leads no fixed lead divides."""
     dividing = packing.dividing
     kept: list[_Element] = []
-    reducers: dict[int, list[_Reducer]] = {}
+    reducers = _buckets(fixed, packing)
     for pos, lead, ints, _ in sorted(elements, key=lambda e: (-e[0], e[1])):
         bucket = reducers.setdefault(pos, [])
         if any((guarded - lead) & dividing == dividing for guarded, *_ in bucket):
@@ -614,15 +618,17 @@ def _interreduce(elements: list[_Element], packing: _Packing,
 
 def _syzygy_basis(base: list[_Element], inputs: list[_IntVector], known: list[_Element],
                   first_tag: int, order: Order, budget: StepBudget) -> list[_Element]:
-    """The reduced Groebner basis of the syzygies of the inputs modulo the
-    base, by a signature-based loop (Gao, Volny and Wang, Math. Comp. 85,
-    2016).
+    """The syzygies of the inputs modulo the base beyond `known`: the
+    elements of their reduced Groebner basis whose leads no lead of `known`
+    divides, by a signature-based loop (Gao, Volny and Wang, Math. Comp.
+    85, 2016).
 
     Positions below `first_tag` hold values and the others tags.  The base
     is a reduced basis of a module at the value positions.  Each input has a
     tag part; `known` are elements at the tag positions only, whose tags are
     syzygies (they send the inputs' values into the base's module).  The
-    result is the reduced basis of every tag part with value zero.
+    syzygies are the tag parts with value zero, and the result with `known`
+    generates them.
 
     An element's signature is the lead (position, monomial) of its tag
     part, in the module order (a smaller position is larger).  The base
@@ -652,9 +658,10 @@ def _syzygy_basis(base: list[_Element], inputs: list[_IntVector], known: list[_E
     divisor of T in H.  So it is not; then a syzygy with lead T, less a
     multiple of t g', has a smaller signature and the same value lead,
     which the pairs below T make regular-reducible: a contradiction.  So
-    the syzygies found and `known` are a Groebner basis of the syzygies;
-    the sweep of `_interreduce` makes it reduced, keeping an element of
-    `known` over a syzygy found with the same lead.
+    the syzygies found and `known` are a Groebner basis of the syzygies.
+    The sweep of `_interreduce` reduces the found ones with `known` as fixed
+    reducers.  No lead of `known` divides a found lead (the syzygy
+    criterion), so each comes out as the reduced basis element with its lead.
 
     One step is one J-pair taken or one reduction step; dropped pairs cost
     nothing.  Signatures are packed monomials keyed by position, so their
@@ -728,7 +735,7 @@ def _syzygy_basis(base: list[_Element], inputs: list[_IntVector], known: list[_E
                 heapq.heappush(heap, (top, key(at, lcm), next(counter), new, r, lcm))
         bucket.append(new)
         signed.setdefault(pos, []).append((mono | guards, mono, key(at, lead)))
-    return _interreduce(known + found, packing, budget)
+    return _interreduce(found, packing, budget, known)
 
 
 def _regular_reduce(vec: _IntVector, sig: int,

@@ -20,13 +20,12 @@ the first known syzygy leads, and a pair whose signature one of them
 divides is never taken.  Nor is a pair that an element of smaller value
 lead at a dividing signature covers.  So almost no pair reduces to zero:
 a value that does leaves a kernel element whose lead is its signature.
-Those and the I*S^q seed are a Groebner basis of the kernel, made reduced
-by the engine's one final sweep, and Fractions are formed only for the
-kernel columns.  At each tag position the lead module holds every lead of
-I, so no term of a reduced kernel element is divisible by a lead of I,
-except its own lead when that lead is exactly one of I's.  Only the
-elements leading there are reduced modulo I (the tag pass), and one that
-is its own seed f e_j is dropped unreduced.
+Those and the I*S^q seed are a Groebner basis of the kernel.  The seed is
+zero over R, so the found elements alone generate the kernel there: the
+engine's one final sweep reduces them with the seed as fixed reducers, and
+Fractions are formed only for the kernel columns.  At each tag position
+the lead module holds every lead of I, and no found lead is divisible by
+one, so each column is already in normal form modulo I.
 Inside, an element is its primitive integer vector on packed monomials
 (see groebner.py): this module converts only through groebner's
 `_integers`, `_fractions` and `_poly_element`, handing each the order's
@@ -43,12 +42,10 @@ from .groebner import (
     IdealHandle,
     Order,
     _Element,
-    _buckets,
     _fractions,
     _integers,
     _poly_element,
     _primitive,
-    _reduce,
     _syzygy_basis,
     current_budget,
     default_order,
@@ -67,7 +64,8 @@ def syzygies(rows: Sequence[Mapping[int, Polynomial]], algebra: GradedAlgebra,
     The p x q matrix, q = width, is given by its rows, each a map from a
     column index j < q to the row's nonzero entry there.  The result is a
     list of distinct nonzero column maps v with rows * v = 0 modulo the
-    defining ideal I, with entries in normal form, in the order below.
+    defining ideal I, with entries in normal form, in the order below; they
+    generate every such v over the quotient.
     They are read off the module generated by (B e_j, e_j) and the (f e_r),
     for f in the reduced Groebner basis of I and r < p, by the signature
     loop of `groebner._syzygy_basis`: the signature of an element is the
@@ -81,15 +79,15 @@ def syzygies(rows: Sequence[Mapping[int, Polynomial]], algebra: GradedAlgebra,
     reduced only below the element's signature.  Each value reduced to zero
     leaves a kernel element whose lead is its signature, and those with the
     seed are a Groebner basis of the kernel (the loop's docstring gives the
-    argument), swept into the reduced basis.  The lead module there holds
-    each lead of I at each tag position, so no term of such an element is
-    divisible by a lead of I unless it is the element's own lead and equals
-    one.  Only those elements, leading at a defining lead, are reduced
-    modulo I; an element equal to its seed f e_j is dropped without being
-    reduced.  The others are already in normal form.
+    argument).  The seed is zero over the quotient, so the columns are the
+    found elements alone, swept into the reduced basis with the seed as
+    fixed reducers: the elements of the kernel's reduced basis whose leads
+    no lead of I*S^q divides.  The lead module holds each lead of I at each tag position, and
+    no found lead is divisible by one, so each column is in normal form.
 
-    The columns are sorted by the strings of their entries, "0" where a map
-    has none; with no rows they are the unit columns e_j, in index order.
+    The columns are in (position, lead) order: by the index of their first
+    entry, then by that entry's lead monomial, both increasing, and no two
+    share both.  With no rows they are the unit columns e_j, in index order.
     """
     sig = algebra.sig
     order = default_order(sig)
@@ -117,22 +115,9 @@ def syzygies(rows: Sequence[Mapping[int, Polynomial]], algebra: GradedAlgebra,
         inputs.append(_primitive(_integers(comp, packing)[0]))
     kernel = _syzygy_basis(_quotient_block(algebra, order, range(p)), inputs, tagged,
                            p, order, budget)
-
-    # the seed at each tag position, by its lead
-    seeds = {(pos, lm): ints for pos, lm, ints, _ in tagged}
-    tags = _buckets(tagged, packing)
-    columns: dict[tuple[str, ...], dict[int, Polynomial]] = {}
-    for pos, lm, ints, den in kernel:
-        seed = seeds.get((pos, lm))
-        if seed is not None:
-            if ints == seed:
-                continue
-            ints, den = _reduce({i: dict(comp) for i, comp in ints.items()}, den,
-                                tags, packing, budget)
-        column = {i - p: Polynomial._of(sig, _fractions(ints[i], den, packing))
-                  for i in sorted(ints)}
-        columns.setdefault(tuple(str(column.get(j, "0")) for j in range(q)), column)
-    return [columns[key] for key in sorted(columns)]
+    return [{i - p: Polynomial._of(sig, _fractions(ints[i], den, packing))
+             for i in sorted(ints)}
+            for _, _, ints, den in kernel]
 
 
 def _quotient_block(algebra: GradedAlgebra, order: Order,

@@ -26,7 +26,6 @@ from oracles import (
     oracle_kernel_dimension,
     oracle_module_groebner,
     oracle_span_dimension,
-    oracle_vector_reduce,
 )
 from difftrace.groebner import ideal_equals, normal_form, step_budget
 from difftrace.modsyz import (
@@ -39,7 +38,7 @@ from difftrace.modsyz import (
     syzygies,
     trace_ideal,
 )
-from difftrace.groebner import default_order
+from difftrace.groebner import default_order, leading_monomial
 from difftrace.poly import Polynomial, RingSignature, parse_many, parse_polynomial
 from difftrace.ringfile import load_ring
 from difftrace.traces import _column_basis, diff_trace, kaehler_presentation
@@ -130,14 +129,19 @@ class TestSyzygies:
     def test_node_kernel_exact(self, node):
         rows = [parse_many(["y", "x"], XY)]
         K = syzygies(sparse(rows), node, 2)
-        assert printed(K) == [{1: "y"}, {0: "x"}]
+        assert printed(K) == [{0: "x"}, {1: "y"}]
 
-    def test_sorted_and_deduplicated(self, node):
-        rows = [parse_many(["y", "x"], XY)]
-        K = densified(syzygies(sparse(rows), node, 2), 2, XY)
-        keys = [tuple(str(e) for e in col) for col in K]
-        assert keys == sorted(keys)
-        assert len(set(keys)) == len(keys)
+    def test_position_lead_order_and_distinct(self, conic):
+        """The columns come in increasing (position, lead) order, each led
+        by its first entry's lead monomial; the leads differ, so the columns
+        do too."""
+        order = default_order(conic.sig)
+        rows = [parse_many(["b", "c", "a"], conic.sig)]
+        K = syzygies(sparse(rows), conic, 3)
+        leads = [(min(col), order.key(leading_monomial(col[min(col)], order)))
+                 for col in K]
+        assert leads == sorted(leads)
+        assert len(set(leads)) == len(leads) == 4
 
 
 # the rings of the differential test: one with an empty defining ideal, and
@@ -158,29 +162,28 @@ EXAMPLE_STEPS = 1_000
 
 
 def module_syzygies(rows, algebra, q):
-    """The kernel columns as Singular's `modulo` reads them, with no code of
-    the engine: the reduced module Groebner basis, by
-    `oracles.oracle_module_groebner`, of the (B e_j, e_j) and the (f e_r, 0),
-    for f in the listed generators; the elements with no component below p,
-    each entry in normal form modulo the defining ideal's reduced basis from
-    the same reference, without duplicates, sorted by their strings."""
+    """The kernel columns with no code of the engine: the reduced module
+    Groebner basis, by `oracles.oracle_module_groebner`, of the (B e_j, e_j)
+    and the (f e_r, 0), for f in the listed generators, in its (position,
+    lead) order.  Kept are the elements with no component below p, less
+    each one whose lead, at a tag position, is a lead of the defining
+    ideal's reduced basis from the same reference: those lie in I*S^q,
+    which is zero over the quotient."""
     sig = algebra.sig
     key = default_order(sig).key
     p = len(rows)
     gens = [{**{i: rows[i][j] for i in range(p)}, p + j: Polynomial.one(sig)}
             for j in range(q)]
     gens += [{r: f} for f in algebra.defining.gens for r in range(p)]
-    defining = oracle_module_groebner([{0: f} for f in algebra.defining.gens], key)
+    defining = {max(f[0].terms, key=key)
+                for f in oracle_module_groebner([{0: f} for f in algebra.defining.gens], key)}
     zero = Polynomial.zero(sig)
     columns = []
     for g in oracle_module_groebner(gens, key):
-        if any(pos < p for pos in g):
-            continue
-        column = tuple(oracle_vector_reduce({0: g.get(p + j, zero)}, defining, key)[0]
-                       .get(0, zero) for j in range(q))
-        if any(not e.is_zero for e in column) and column not in columns:
-            columns.append(column)
-    return sorted(columns, key=lambda col: tuple(str(e) for e in col))
+        pos = min(g)
+        if pos >= p and max(g[pos].terms, key=key) not in defining:
+            columns.append(tuple(g.get(p + j, zero) for j in range(q)))
+    return columns
 
 
 @st.composite
@@ -225,12 +228,12 @@ class TestSyzygiesAgainstModuleBasis:
         rows = [parse_many(["c", "1", "b*c"], CONIC.sig),
                 parse_many(["0", "1", "1"], CONIC.sig)]
         K = syzygies(sparse(rows), CONIC, 3)
-        assert printed(K) == [{0: "a*c^2 - b", 1: "b*c", 2: "-b*c"},
-                              {0: "b*c - 1", 1: "c", 2: "-c"}]
+        assert printed(K) == [{0: "b*c - 1", 1: "c", 2: "-c"},
+                              {0: "a*c^2 - b", 1: "b*c", 2: "-b*c"}]
         assert densified(K, 3, CONIC.sig) == module_syzygies(rows, CONIC, 3)
 
     @pytest.mark.parametrize("row, expected", [
-        (["y", "y"], [{1: "x"}, {1: "y^2"}, {0: "1", 1: "-1"}]),
+        (["y", "y"], [{0: "1", 1: "-1"}, {1: "x"}, {1: "y^2"}]),
         (["x", "1"], [{0: "1", 1: "-x"}]),
     ])
     def test_over_unreduced_generators(self, row, expected):
@@ -242,17 +245,30 @@ class TestSyzygiesAgainstModuleBasis:
         assert printed(K) == expected
 
 
-class TestTagPass:
+class TestSeed:
+    """The I*S^q seed is zero over the quotient: it reduces the found
+    kernel elements and is never returned."""
+
     def test_kernel_element_at_a_defining_lead(self):
         """Over Q[x, y]/(x^3 - y^2), weights 2 and 3, x^3 leads the defining
         generator.  The reduced kernel basis of the row (1, y) holds
         x^3 e_0 - y e_1, which leads at that defining lead and is not the
-        seed (x^3 - y^2) e_0; reduced modulo I it gives (y^2, -y)."""
+        seed (x^3 - y^2) e_0.  Less the seed it is y times (y, -1), so that
+        column alone is returned."""
         cusp = make_ring(["x", "y"], [2, 3], ["x^3 - y^2"])
         rows = [parse_many(["1", "y"], cusp.sig)]
         K = syzygies(sparse(rows), cusp, 2)
-        assert printed(K) == [{0: "y", 1: "-1"}, {0: "y^2", 1: "-y"}]
+        assert printed(K) == [{0: "y", 1: "-1"}]
         assert densified(K, 2, cusp.sig) == module_syzygies(rows, cusp, 2)
+
+    def test_tail_reduced_by_the_seed(self, node):
+        """The rows (0, y, 1) and (0, 0, 1) over Q[x, y]/(xy): the kernel
+        element x e_1 - xy e_2 is found, and the seed xy e_2 clears its
+        tail."""
+        rows = [parse_many(["0", "y", "1"], XY), parse_many(["0", "0", "1"], XY)]
+        K = syzygies(sparse(rows), node, 3)
+        assert printed(K) == [{0: "1"}, {1: "x"}]
+        assert densified(K, 3, XY) == module_syzygies(rows, node, 3)
 
 
 class TestCoefficientGrowth:
@@ -270,12 +286,12 @@ class TestCoefficientGrowth:
             K = syzygies(sparse(rows), algebra, 3)
         assert budget.used == 32
         assert printed(K) == [
-            {2: "y^2 - x*z"},
-            {1: "z^3 - 3/4*z", 2: "-5/6*y*z + 3/4"},
             {0: "1", 1: "1000/819*x*z^2 + 400/273*y*z^2 + 100/91*x*z + 120/91*y*z"
                      " + 144/91*z^2 + 2/3*x + 120/91*z",
              2: "-1000/819*x*z - 2500/2457*z^2 - 100/91*x - 120/91*y"
-                " - 250/273*z - 120/91"}]
+                " - 250/273*z - 120/91"},
+            {1: "z^3 - 3/4*z", 2: "-5/6*y*z + 3/4"},
+            {2: "y^2 - x*z"}]
 
 
 def scaled(column, c):
