@@ -78,12 +78,6 @@ def tensor_product(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
     )
 
 
-def tensor_factor_positions(A: GradedAlgebra, B: GradedAlgebra):
-    """The variable positions the two factors occupy inside the product."""
-    _, pos_a, pos_b = _merged_signature(A, B)
-    return pos_a, pos_b
-
-
 def predicted_tensor_trace(A: GradedAlgebra, B: GradedAlgebra,
                            R: GradedAlgebra | None = None) -> IdealHandle:
     """Top trace of the tensor product, predicted from the factor traces.

@@ -23,7 +23,6 @@ from difftrace.constructions import (
     fiber_product,
     predicted_fiber_trace,
     predicted_tensor_trace,
-    tensor_factor_positions,
     tensor_product,
     veronese_algebra,
 )
@@ -143,9 +142,9 @@ def test_criterion_2d_tensor_product_formula(corpus):
         predicted = predicted_tensor_trace(A, B, R)
         direct = diff_trace(R, R.dimension)
         assert ideal_equals(predicted, direct)
-        pos_a, pos_b = tensor_factor_positions(A, B)
-        ta = extend_scalars(diff_trace(A, A.dimension), R, pos_a)
-        tb = extend_scalars(diff_trace(B, B.dimension), R, pos_b)
+        ta = extend_scalars(diff_trace(A, A.dimension), R, range(A.nvars))
+        tb = extend_scalars(diff_trace(B, B.dimension), R,
+                            range(A.nvars, A.nvars + B.nvars))
         product = R.s_ideal(tuple(f * g for f in ta.gens for g in tb.gens))
         assert ideal_equals(product, ideal_intersection(ta, tb))
 

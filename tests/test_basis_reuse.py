@@ -23,7 +23,6 @@ from conftest import make_ring
 from difftrace.constructions import (
     extend_scalars,
     predicted_tensor_trace,
-    tensor_factor_positions,
     tensor_product,
 )
 from difftrace.groebner import (
@@ -249,9 +248,9 @@ class TestTensorPrediction:
     def test_presented_like_all_products(self, a, b):
         A, B = RINGS[a], RINGS[b]
         R = tensor_product(A, B)
-        pos_a, pos_b = tensor_factor_positions(A, B)
-        ta = extend_scalars(diff_trace(A, A.dimension), R, pos_a)
-        tb = extend_scalars(diff_trace(B, B.dimension), R, pos_b)
+        ta = extend_scalars(diff_trace(A, A.dimension), R, range(A.nvars))
+        tb = extend_scalars(diff_trace(B, B.dimension), R,
+                            range(A.nvars, A.nvars + B.nvars))
         every = R.s_ideal(tuple(dict.fromkeys(f * g for f in ta.gens
                                               for g in tb.gens)))
         predicted = predicted_tensor_trace(A, B, R)
