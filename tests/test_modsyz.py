@@ -167,16 +167,17 @@ def module_syzygies(rows, algebra, q):
     and the (f e_r, 0), for f in the listed generators, in its (position,
     lead) order.  Kept are the elements with no component below p, less
     each one whose lead, at a tag position, is a lead of the defining
-    ideal's reduced basis from the same reference: those lie in I*S^q,
-    which is zero over the quotient."""
+    ideal's reduced basis from the same reference: such an element is its
+    seed f e_j, zero over the quotient, plus kernel elements of smaller
+    lead."""
     sig = algebra.sig
     key = default_order(sig).key
     p = len(rows)
     gens = [{**{i: rows[i][j] for i in range(p)}, p + j: Polynomial.one(sig)}
             for j in range(q)]
     gens += [{r: f} for f in algebra.defining.gens for r in range(p)]
-    defining = {max(f[0].terms, key=key)
-                for f in oracle_module_groebner([{0: f} for f in algebra.defining.gens], key)}
+    ideal = oracle_module_groebner([{0: f} for f in algebra.defining.gens], key)
+    defining = {max(f[0].terms, key=key) for f in ideal}
     zero = Polynomial.zero(sig)
     columns = []
     for g in oracle_module_groebner(gens, key):
